@@ -1,0 +1,174 @@
+"""Golden bit pins: fixed seeds must keep producing exactly these results.
+
+Any change to the sampling kernel, the selection rule, the block layout or
+the merge order that alters a single bit of an estimate fails here. The
+instances are built from plain float arithmetic so their bits do not depend
+on any random generator other than the one under test. Floats are pinned by
+``float.hex``; selection matrices by the sha256 of their int64 bytes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import tvdist as tv
+
+SAMPLES = 9000  # two full blocks and a short one
+NAIVE_SAMPLES = 5000
+BATCH = 5000
+
+
+def _normalise(weights: list[float]) -> list[float]:
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def wide_binary() -> tuple[list[list[float]], list[list[float]]]:
+    """300 binary coordinates; the side where Q < P alternates."""
+    p_rows, q_rows = [], []
+    for i in range(300):
+        a = 0.2 + 0.6 * ((i * 37) % 101) / 101
+        b = a + (0.02 if i % 2 else -0.015)
+        p_rows.append([a, 1.0 - a])
+        q_rows.append([b, 1.0 - b])
+    return p_rows, q_rows
+
+
+def mixed_domains(disjoint: bool = True) -> tuple[list[list[float]], list[list[float]]]:
+    """Domains 2..16 with zeros (shared, Q-only, P-only), 1e-12 distances
+    and one disjoint coordinate (d_i = 1) in the middle.
+
+    A disjoint coordinate makes tv exactly 1 and every per-sample value 1,
+    so without it (``disjoint=False``) the same domains also pin the bits
+    of the f path and of the naive baseline.
+    """
+    p_rows, q_rows = [], []
+    for i in range(45):
+        size = 2 + i % 15
+        w = [1.0 + ((i * 7 + c * 13) % 17) for c in range(size)]
+        if size >= 3 and i % 4 == 1:
+            w[(i * 5) % size] = 0.0
+        p_row = _normalise(w)
+        kind = i % 5
+        if disjoint and i == 22:
+            p_row, q_row = [1.0, 0.0], [0.0, 1.0]
+        elif kind == 0:
+            v = [x * (1.0 + 0.1 * ((c * 3 + i) % 5 - 2)) for c, x in enumerate(w)]
+            if i == 5:
+                v[0] = 0.0  # zero in Q only
+            if i == 10:
+                w[1] = 0.0  # zero in P only
+                p_row = _normalise(w)
+            q_row = _normalise(v)
+        elif kind == 1:
+            support = [c for c, x in enumerate(p_row) if x > 0.0]
+            q_row = list(p_row)
+            q_row[support[0]] += 1e-12
+            q_row[support[-1]] -= 1e-12
+        else:
+            q_row = list(p_row)
+        p_rows.append(p_row)
+        q_rows.append(q_row)
+    return p_rows, q_rows
+
+
+def interleaved_identical() -> tuple[list[list[float]], list[list[float]]]:
+    """Identical coordinates (first and last included, some with a shared
+    zero) interleaved between differing ones."""
+    p_rows, q_rows = [], []
+    for i in range(30):
+        if i % 3 == 1:
+            a = 0.3 + 0.01 * i
+            p_rows.append([a, 0.5 - a / 2, 0.5 - a / 2])
+            q_rows.append([a - 0.05, 0.5 - a / 2 + 0.05, 0.5 - a / 2])
+        elif i % 3 == 2:
+            p_rows.append([0.25, 0.0, 0.75])
+            q_rows.append([0.25, 0.0, 0.75])
+        else:
+            p_rows.append([0.6, 0.4])
+            q_rows.append([0.6, 0.4])
+    return p_rows, q_rows
+
+
+INSTANCES = {
+    "wide_binary": wide_binary,
+    "mixed_domains": mixed_domains,
+    "mixed_domains_no_disjoint": lambda: mixed_domains(disjoint=False),
+    "interleaved_identical": interleaved_identical,
+}
+
+#: name -> (seed, estimate.hex(), mean_f.hex())
+ESTIMATE_PINS = {
+    "wide_binary": (11, "0x1.0b42d1cf1ac3dp-2", "0x1.0c9aee94f07fbp-2"),
+    "mixed_domains": (12, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    "mixed_domains_no_disjoint": (14, "0x1.02c976144819fp-2", "0x1.08cd0b44dcd12p-1"),
+    "interleaved_identical": (13, "0x1.3907ce59ac92cp-3", "0x1.860e73b443f9ep-2"),
+}
+
+#: name -> (seed, naive estimate.hex())
+NAIVE_PINS = {
+    "wide_binary": (21, "0x1.0c2e3fa0ecba2p-2"),
+    "mixed_domains": (22, "0x1.0000000000000p+0"),
+    "mixed_domains_no_disjoint": (24, "0x1.f99aa01e5d2c1p-3"),
+    "interleaved_identical": (23, "0x1.3cc71f64bdc3dp-3"),
+}
+
+#: name -> (seed, sha256 of the int64 selection bytes)
+BATCH_PINS = {
+    "wide_binary": (
+        31,
+        "b9b09ec4c0aef8ccdb776beba5af6b77adab6a3229f73537563ab1da8e924ba4",
+    ),
+    "mixed_domains": (
+        32,
+        "9164f3f601af285e0698bc79a69fd9f576904055b02976b88df2d7b57d656332",
+    ),
+    "mixed_domains_no_disjoint": (
+        34,
+        "01f6e7c64514953daac659cca4173f0e6f70d8e5146cc70974c593eecc21fa4e",
+    ),
+    "interleaved_identical": (
+        33,
+        "47779dd7440a36f5144cda66a48389d0bdcfc5e7414e8fa6b8de072b2e0d5c86",
+    ),
+}
+
+
+def _pair(name: str) -> tuple[tv.ProductDistribution, tv.ProductDistribution]:
+    p_rows, q_rows = INSTANCES[name]()
+    return tv.validate(p_rows), tv.validate(q_rows)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_bits_are_pinned(name, workers):
+    p, q = _pair(name)
+    seed, estimate_hex, mean_hex = ESTIMATE_PINS[name]
+    config = tv.EstimatorConfig(
+        epsilon=0.1, delta=0.05, seed=seed, samples_override=SAMPLES, workers=workers
+    )
+    result = tv.estimate_tv(p, q, config)
+    assert result.estimate.hex() == estimate_hex
+    assert result.mean_f.hex() == mean_hex
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_naive_bits_are_pinned(name):
+    p, q = _pair(name)
+    seed, estimate_hex = NAIVE_PINS[name]
+    result = tv.naive_estimate_tv(p, q, NAIVE_SAMPLES, seed)
+    assert result.estimate.hex() == estimate_hex
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_checked_selections_are_pinned(name):
+    p, q = _pair(name)
+    seed, digest = BATCH_PINS[name]
+    stats = tv.build_stats(p, q)
+    draws = tv.sample_pi_batch(p, q, stats, seed, BATCH, check_invariants=True)
+    assert draws.shape == (BATCH, p.n)
+    raw = np.ascontiguousarray(draws, dtype=np.int64).tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
