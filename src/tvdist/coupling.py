@@ -15,16 +15,21 @@ prefix's product of ``min(P_i, Q_i)/P_i`` ratios times a suffix product of
     sum_c w_k(c) = 1 - A_{k-1} * B_{k-1}.
 
 All products over coordinates are held as sums of logs with explicit zero
-flags, and ``1 - x`` quantities go through ``log1p``/``expm1``, because the
-interesting regime is exponentially small per-coordinate distances where
-naive products lose everything to rounding.
+flags (the sampling kernel flags a zero ``min(P_i, Q_i)/P_i`` factor by a
+log of ``-inf``), and ``1 - x`` quantities go through ``log1p``/``expm1``,
+because the interesting regime is exponentially small per-coordinate
+distances where naive products lose everything to rounding.
 
 Randomness: a run is identified by a 64-bit ``seed``; work unit ``b``
 (a block of up to :data:`SAMPLE_BLOCK` consecutive draws) uses the
-counter-based generator ``Philox(SeedSequence([seed, b]))`` and consumes
-one uniform per draw per coordinate, coordinate-major within the block.
-The mapping from draw index to block is fixed by the block size alone, so
-results never depend on how blocks are distributed over workers.
+counter-based generator ``Philox(SeedSequence([seed, b]))``. It consumes
+one uniform per draw per coordinate, in coordinate order: one
+``Generator.random`` call per coordinate fills the uniforms of all the
+block's draws. Coordinates with ``d_i = 0``, whose step the estimate path
+skips, still consume theirs, so every coordinate's uniforms are the same
+whichever outputs a run asks for. The mapping from draw index to block is
+fixed by the block size alone, so results never depend on how blocks are
+distributed over workers.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ WEIGHT_SUM_TOL = 1e-12
 F_RANGE_TOL = 1e-12
 
 _MAX_SEED = 2**64
+
+#: Smallest positive normal double (see :func:`_select`).
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 def check_seed(seed: int) -> int:
@@ -192,38 +200,79 @@ def extend_prefix(
 
 
 class _PairTables:
-    """Per-coordinate lookup tables shared by the sampling and estimate kernels.
+    """Per-category lookup tables shared by the sampling and estimate kernels.
 
-    For coordinate ``k`` and category ``c`` (0-based arrays):
-      - ``log_r``/``r_zero``: log-space ``min(P, Q)/P`` ratio with zero flag,
-      - ``log_qp``/``qp_zero``: log-space ``Q/P`` ratio with zero flag.
+    Categories of all coordinates are laid out back to back; coordinate
+    ``k`` (0-based) owns ``bounds[k]:bounds[k + 1]`` of each flat array:
+      - ``p``: ``P_k(c)``,
+      - ``log_r``: log of the ``min(P, Q)/P`` ratio,
+      - ``log_qp``/``q_zero``: log of the ``Q/P`` ratio and its zero flag
+        (set where ``Q = 0 < P``; a category with ``P = 0`` is never drawn).
+    ``q_zero_in[k]`` tells whether coordinate ``k`` has a flagged category.
     Both ratios are built from ``log1p((Q - P)/P)`` so near-identical
-    marginals keep full relative accuracy.
+    marginals keep full relative accuracy. A zero ``min(P, Q)/P`` ratio is
+    stored as a log of ``-inf``, which is its zero flag: every ``log_r`` and
+    suffix log is at most 0, so a sum with a zero factor stays ``-inf``, and
+    ``-expm1(-inf)`` is exactly the 1 that ``1 - 0`` gives. ``Q/P`` needs
+    the explicit flag, as it can overflow to ``+inf``.
     """
 
-    __slots__ = ("p", "log_r", "r_zero", "log_qp", "qp_zero")
+    __slots__ = ("p", "log_r", "log_qp", "q_zero", "q_zero_in", "bounds", "max_q")
 
     def __init__(self, p: ProductDistribution, q: ProductDistribution) -> None:
-        self.p: list[np.ndarray] = []
-        self.log_r: list[np.ndarray] = []
-        self.r_zero: list[np.ndarray] = []
-        self.log_qp: list[np.ndarray] = []
-        self.qp_zero: list[np.ndarray] = []
-        for pm, qm in zip(p.marginals, q.marginals):
-            pv = np.asarray(pm.probs, dtype=np.float64)
-            qv = np.asarray(qm.probs, dtype=np.float64)
-            pos = pv > 0.0
-            safe_p = np.where(pos, pv, 1.0)
-            q_zero = qv == 0.0
-            r_zero = pos & q_zero
-            rel = (qv - pv) / safe_p
-            log_r = np.log1p(np.where(pos & ~r_zero, np.minimum(rel, 0.0), 0.0))
-            log_qp = np.log1p(np.where(pos & ~q_zero, rel, 0.0))
-            self.p.append(pv)
-            self.log_r.append(log_r)
-            self.r_zero.append(r_zero)
-            self.log_qp.append(log_qp)
-            self.qp_zero.append(q_zero)
+        pv = np.array([x for m in p.marginals for x in m.probs], dtype=np.float64)
+        qv = np.array([x for m in q.marginals for x in m.probs], dtype=np.float64)
+        pos = pv > 0.0
+        q_zero = qv == 0.0
+        live = pos & ~q_zero
+        rel = (qv - pv) / np.where(pos, pv, 1.0)
+        self.p = pv
+        self.log_r = np.log1p(np.where(live, np.minimum(rel, 0.0), 0.0))
+        self.q_zero = pos & q_zero
+        self.log_r[self.q_zero] = -np.inf
+        self.log_qp = np.log1p(np.where(live, rel, 0.0))
+        self.bounds = [0, *np.cumsum(p.domain_sizes).tolist()]
+        self.q_zero_in = np.logical_or.reduceat(self.q_zero, self.bounds[:-1]).tolist()
+        self.max_q = max(p.domain_sizes)
+
+
+def _select(
+    cum: np.ndarray,
+    threshold: np.ndarray,
+    total_low: float,
+    out: np.ndarray,
+    flag: np.ndarray,
+) -> None:
+    """Inverse-CDF selection, scanning categories in ascending order.
+
+    ``cum`` holds cumulative weights with one row per category, each row
+    either per draw or one value shared by all draws; ``threshold`` is
+    ``u * cum[-1]`` per draw with ``u`` in [0, 1), and ``total_low`` the
+    smallest ``cum[-1]``. ``out`` receives ``#(cum <= threshold)``, clamped
+    to the last category of positive weight, which absorbs residual
+    rounding mass; ``flag`` is scratch space.
+    """
+    q = len(cum)
+    if q == 1:
+        out.fill(0)
+        return
+    # The last row is left out of the count: it is counted only where
+    # threshold >= total, and those draws are set by the clamp below.
+    np.less_equal(cum[0], threshold, out=out)
+    for c in range(1, q - 1):
+        np.less_equal(cum[c], threshold, out=flag)
+        np.add(out, flag, out=out)
+    # Below the total the count stops at a positive weight. For a total
+    # above the smallest normal double and u < 1, the rounded u * total is
+    # below the total, so only tiny totals can need the clamp. Their
+    # cumulative sums are multiples of the subnormal spacing and exact, so
+    # a row that grows marks a positive weight.
+    if not total_low > _SMALLEST_NORMAL:
+        over = np.flatnonzero(threshold >= np.broadcast_to(cum[-1], threshold.shape))
+        if over.size:
+            rows = np.broadcast_to(np.reshape(cum, (q, -1)), (q, threshold.size))
+            grew = np.diff(rows[:, over], axis=0, prepend=0.0) > 0.0
+            out[over] = q - 1 - np.argmax(grew[::-1], axis=0)
 
 
 def _sample_block(
@@ -239,70 +288,101 @@ def _sample_block(
     """Draw ``size`` outcomes from the conditional disagreement law.
 
     Returns ``(assignments, f)`` where ``assignments`` is a 0-based
-    ``(size, n)`` selection matrix and ``f`` the per-sample estimate values,
-    each only when requested. One uniform is consumed per draw per
-    coordinate; inverse-CDF selection scans categories in ascending order
-    and the last positive-weight category absorbs residual rounding mass.
+    ``(n, size)`` selection matrix (one row per coordinate) and ``f`` the
+    per-sample estimate values, each only when requested. One uniform is
+    consumed per draw per coordinate. Cumulative weights are laid out one
+    row per category over the block's draws, in preallocated buffers, and
+    categories with ``Q >= P`` (a ``min(P, Q)/P`` ratio of exactly 1) share
+    one disagreement row; a binary coordinate costs two weight rows and one
+    comparison.
+
+    When only ``f`` is requested, coordinates with ``d_k = 0`` consume their
+    uniforms and are otherwise skipped: every ratio there is exactly 1
+    (log ``+0.0``), so neither ``f`` nor a later weight can change, and the
+    step's total equals the disagreement factor the previous step chose,
+    which is positive.
     """
     n = stats.n
+    suffix = [
+        -math.inf if zero else log
+        for zero, log in zip(stats.suffix_zero, stats.suffix_log)
+    ]
+    skip_identical = want_f and not (want_assignments or check_invariants)
+    uniform = np.empty(size)
     log_a = np.zeros(size)
-    a_zero = np.zeros(size, dtype=bool)
     t_qp = np.zeros(size) if want_f else None
     qp_any = np.zeros(size, dtype=bool) if want_f else None
-    selections = np.empty((size, n), dtype=np.int64) if want_assignments else None
+    exponent = np.empty(size)
+    shared = np.empty(size)
+    scratch = np.empty(size)
+    flag = np.empty(size, dtype=bool)
+    cum = np.empty((tables.max_q, size))
+    chosen = np.empty(size, dtype=np.intp)
+    selections = np.empty((n, size), dtype=np.intp) if want_assignments else None
 
     for k in range(1, n + 1):
-        p_k = tables.p[k - 1]
-        log_r_k = tables.log_r[k - 1]
-        r_zero_k = tables.r_zero[k - 1]
-        # 1 - A_{k-1} * r_k(c) * B_k, with any zero factor forcing the value 1
-        exponent = log_a[:, None] + log_r_k[None, :] + stats.suffix_log[k]
-        gone = a_zero[:, None] | r_zero_k[None, :] | stats.suffix_zero[k]
-        disagree = np.where(gone, 1.0, -np.expm1(exponent))
-        weights = p_k[None, :] * disagree
+        rng.random(out=uniform)
+        if skip_identical and stats.d[k - 1] == 0.0:
+            continue
+        lo, hi = tables.bounds[k - 1], tables.bounds[k]
+        log_r_k = tables.log_r[lo:hi]
+        s = suffix[k]
+        # w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k), accumulated in
+        # category order; expm1(x) * -P equals P * -expm1(x) bit for bit
+        have_shared = False
+        categories = zip(tables.p[lo:hi].tolist(), log_r_k.tolist())
+        for c, (p_c, log_r) in enumerate(categories):
+            row = cum[c]
+            if log_r == 0.0:
+                if not have_shared:
+                    np.add(log_a, s, out=shared)
+                    np.expm1(shared, out=shared)
+                    have_shared = True
+                em = shared
+            else:
+                np.add(log_a, log_r, out=exponent)
+                np.add(exponent, s, out=exponent)
+                np.expm1(exponent, out=exponent)
+                em = exponent
+            if c:
+                np.multiply(em, -p_c, out=scratch)
+                np.add(cum[c - 1], scratch, out=row)
+            else:
+                np.multiply(em, -p_c, out=row)
 
-        cum = np.cumsum(weights, axis=1)
-        total = cum[:, -1]
-        if not np.all(total > 0.0):
+        q_k = hi - lo
+        total = cum[q_k - 1]
+        total_low = float(total.min())
+        if not total_low > 0.0:
             raise DegenerateConditional(
                 f"step {k}: conditional weights sum to a non-positive value"
             )
         if check_invariants:
-            norm_zero = a_zero | stats.suffix_zero[k - 1]
-            normalizer = np.where(
-                norm_zero, 1.0, -np.expm1(log_a + stats.suffix_log[k - 1])
-            )
+            normalizer = -np.expm1(log_a + suffix[k - 1])
             gap = float(np.abs(total - normalizer).max())
             if gap > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
                 raise DegenerateConditional(
                     f"step {k}: weight sum deviates from its normalizer by {gap:g}"
                 )
 
-        threshold = rng.random(size) * total
-        chosen = (cum <= threshold[:, None]).sum(axis=1)
-        last_positive = p_k.size - 1 - np.argmax((weights > 0.0)[:, ::-1], axis=1)
-        chosen = np.minimum(chosen, last_positive)
-
-        if want_assignments:
-            selections[:, k - 1] = chosen
-        a_zero |= r_zero_k[chosen]
-        log_a = log_a + log_r_k[chosen]
+        threshold = np.multiply(uniform, total, out=uniform)
+        picked = selections[k - 1] if want_assignments else chosen
+        _select(cum[:q_k], threshold, total_low, picked, flag)
+        np.add(log_a, log_r_k.take(picked, out=scratch, mode="clip"), out=log_a)
         if want_f:
-            qp_any |= tables.qp_zero[k - 1][chosen]
-            t_qp += tables.log_qp[k - 1][chosen]
+            log_qp_k = tables.log_qp[lo:hi]
+            np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
+            if tables.q_zero_in[k - 1]:
+                qp_any |= tables.q_zero[lo:hi][picked]
 
     f = None
     if want_f:
         numer = np.where(qp_any, 1.0, -np.expm1(t_qp))
-        denom = np.where(a_zero, 1.0, -np.expm1(log_a))
-        f = np.zeros(size)
+        denom = -np.expm1(log_a)
         live = numer > 0.0
-        if live.any():
-            if not np.all(denom[live] > 0.0):
-                raise ZeroDenominator(
-                    "drew an outcome whose disagreement mass is zero"
-                )
-            f[live] = numer[live] / denom[live]
+        if not np.all(denom > 0.0, where=live):
+            raise ZeroDenominator("drew an outcome whose disagreement mass is zero")
+        f = np.divide(numer, denom, out=np.zeros(size), where=live)
         excess = float(f.max(initial=0.0)) - 1.0
         if excess > F_RANGE_TOL:
             raise EstimatorOutOfRange(f"estimate exceeded 1 by {excess:g}")
@@ -417,6 +497,6 @@ def sample_pi_batch(
             want_f=False,
             check_invariants=check_invariants,
         )
-        out[offset : offset + size] = selections + 1
+        np.add(selections.T, 1, out=out[offset : offset + size])
         offset += size
     return out

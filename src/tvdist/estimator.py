@@ -28,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import (
+    F_RANGE_TOL,
     GreedyCouplingStats,
     _PairTables,
     _sample_block,
+    _select,
     block_rng,
     block_sizes,
     build_stats,
@@ -44,11 +46,6 @@ from .distributions import (
     require_same_shape,
 )
 from .errors import EstimatorOutOfRange, InvalidParameter, ZeroDenominator
-
-#: Same rounding guard as the vectorized kernel: excursions beyond [0, 1]
-#: up to this size are clamped, larger ones abort.
-F_RANGE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -228,7 +225,7 @@ def estimate_tv(
                 want_f=True,
                 check_invariants=False,
             )
-            partials.append((b, math.fsum(f.tolist())))
+            partials.append((b, math.fsum(memoryview(f))))
         return partials
 
     if config.workers == 1 or len(sizes) == 1:
@@ -268,22 +265,23 @@ def naive_estimate_tv(
         raise InvalidParameter(f"samples must be positive, got {samples}")
     d = tuple(coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals))
     tables = _PairTables(p, q)
-    cums = [np.cumsum(pv) for pv in tables.p]
-    last_positive = [int(np.max(np.nonzero(pv > 0.0)[0])) for pv in tables.p]
+    bounds = list(zip(tables.bounds, tables.bounds[1:]))
+    cums = [np.cumsum(tables.p[lo:hi]) for lo, hi in bounds]
     partials = []
     for b, size in enumerate(block_sizes(samples)):
         rng = block_rng(seed, b)
+        chosen = np.empty(size, dtype=np.intp)
+        flag = np.empty(size, dtype=bool)
         log_qp = np.zeros(size)
         q_zero = np.zeros(size, dtype=bool)
-        for k in range(p.n):
-            threshold = rng.random(size) * cums[k][-1]
-            chosen = (cums[k][None, :] <= threshold[:, None]).sum(axis=1)
-            chosen = np.minimum(chosen, last_positive[k])
-            q_zero |= tables.qp_zero[k][chosen]
-            log_qp += tables.log_qp[k][chosen]
+        for cum, (lo, hi) in zip(cums, bounds):
+            threshold = rng.random(size) * cum[-1]
+            _select(cum, threshold, cum[-1], chosen, flag)
+            q_zero |= tables.q_zero[lo:hi][chosen]
+            log_qp += tables.log_qp[lo:hi][chosen]
         with np.errstate(over="ignore"):
             g = np.where(q_zero, 1.0, np.maximum(-np.expm1(log_qp), 0.0))
-        partials.append(math.fsum(g.tolist()))
+        partials.append(math.fsum(memoryview(g)))
     mean_g = math.fsum(partials) / samples
     return EstimateResult(
         estimate=mean_g,

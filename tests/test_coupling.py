@@ -230,3 +230,45 @@ def test_unit_domain_coordinates():
     assert np.all(draws[:, 0] == 1)
     # a single effective coordinate makes the greedy coupling optimal
     assert tv.exact_expectation_f(p, q) == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_selection(weights, u):
+    """Inverse CDF over a (q, m) weight matrix: count of cumulative weights
+    <= u * total, clamped to the last positive weight."""
+    cum = np.cumsum(weights, axis=0)
+    threshold = u * cum[-1]
+    count = (cum <= threshold).sum(axis=0)
+    q = weights.shape[0]
+    last_positive = q - 1 - np.argmax((weights > 0.0)[::-1], axis=0)
+    return np.minimum(count, last_positive), cum, threshold
+
+
+def test_select_matches_reference_selection():
+    """The row-wise selection equals the reference, including draws whose
+    threshold reaches a tiny total and must be clamped."""
+    from tvdist.coupling import _select
+
+    rng = np.random.default_rng(2024)
+    top = 1.0 - 2.0**-53  # the largest uniform the generator returns
+    m = 512
+    clamped = 0
+    for q in (1, 2, 3, 5, 16):
+        for unit in (0.1, 1e-300, 2.0**-1022 / 4, 5e-324):
+            weights = np.floor(rng.random((q, m)) * 4) * unit
+            weights[-1, : m // 2] = 0.0  # last category empty for half the draws
+            weights[0] += unit  # every draw has a positive total
+            u = rng.random(m)
+            u[: m // 4] = top
+            expected, cum, threshold = _reference_selection(weights, u)
+            out = np.empty(m, dtype=np.intp)
+            _select(cum, threshold, float(cum[-1].min()), out, np.empty(m, dtype=bool))
+            assert np.array_equal(out, expected), (q, unit)
+            clamped += int(np.sum((threshold >= cum[-1]) & (weights[-1] == 0.0)))
+    assert clamped > 0  # the clamp was exercised
+    # u * total rounds up to the total when the total is the smallest normal
+    weights = np.zeros((3, 4))
+    weights[0] = 2.0**-1022
+    expected, cum, threshold = _reference_selection(weights, np.full(4, top))
+    out = np.empty(4, dtype=np.intp)
+    _select(cum, threshold, float(cum[-1].min()), out, np.empty(4, dtype=bool))
+    assert np.array_equal(out, expected) and not out.any()
