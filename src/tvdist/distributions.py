@@ -21,6 +21,7 @@ from .errors import (
     DomainMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InstanceFormatError,
     MarginalNotNormalized,
     NegativeProbability,
 )
@@ -28,6 +29,10 @@ from .errors import (
 #: Absolute tolerance on |sum(probs) - 1| accepted by validation. Chosen to
 #: admit hand-written decimal inputs while rejecting malformed vectors.
 NORMALIZATION_TOL = 1e-9
+
+#: Entry types :func:`validate` converts without a closer look; any other
+#: type is checked for bools and strings, which ``float`` would accept.
+_PLAIN_NUMBERS = frozenset((float, int))
 
 
 @dataclass(frozen=True)
@@ -82,16 +87,31 @@ def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
     """Build a :class:`ProductDistribution` from raw probability vectors.
 
     The dimension count and per-coordinate domain sizes are taken from the
-    input shape. Entries must be non-negative and each vector must sum to 1
-    within :data:`NORMALIZATION_TOL`; the vectors are then stored as given.
+    input shape. Entries must be non-negative numbers and each vector must
+    sum to 1 within :data:`NORMALIZATION_TOL`; the vectors are then stored
+    as given.
 
     Raises:
+        InstanceFormatError: an entry is a bool or a string, which ``float``
+            would otherwise turn into a probability.
         EmptyInput: no coordinates, or a coordinate with no categories.
         NegativeProbability: an entry is below zero.
         MarginalNotNormalized: a vector's sum is off by more than the
             tolerance (also raised for non-finite entries).
     """
-    vectors = [tuple(float(x) for x in vec) for vec in p_raw]
+    vectors = []
+    for i, raw in enumerate(p_raw, start=1):
+        raw = tuple(raw)
+        if not _PLAIN_NUMBERS.issuperset(map(type, raw)):
+            for c, entry in enumerate(raw, start=1):
+                if isinstance(entry, (bool, str)):
+                    raise InstanceFormatError(
+                        f"coordinate {i}, category {c}: probability must be a "
+                        f"number, got {entry!r}",
+                        coordinate=i,
+                        category=c,
+                    )
+        vectors.append(tuple(map(float, raw)))
     if not vectors:
         raise EmptyInput("a product distribution needs at least one coordinate")
     marginals = []

@@ -70,7 +70,18 @@ class InvalidParameter(ValidationError):
 
 
 class InstanceFormatError(ValidationError):
-    """An instance document does not have the expected p/q structure."""
+    """An instance document or probability vector has the wrong structure.
+
+    ``coordinate`` and ``category`` (1-based) name the offending entry when
+    there is one, such as a probability given as a bool or a string.
+    """
+
+    def __init__(
+        self, message: str, coordinate: int | None = None, category: int | None = None
+    ):
+        self.coordinate = coordinate
+        self.category = category
+        super().__init__(message)
 
 
 class IdenticalDistributions(TvdistError):

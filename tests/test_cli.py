@@ -192,6 +192,18 @@ def test_non_numeric_probability_is_validation_error(capsys, tmp_path):
     assert report["error"]["type"] == "InstanceFormatError"
 
 
+@pytest.mark.parametrize("entry", [True, "0.5"])
+def test_bool_or_string_probability_is_validation_error(capsys, tmp_path, entry):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"p": [[0.5, 0.5], [entry, 0.5]], "q": BERNOULLI_Q}))
+    code, report, err = run_cli(capsys, ["estimate", str(path), "--seed", "1"])
+    assert code == 2
+    assert report["error"]["type"] == "InstanceFormatError"
+    assert report["error"]["coordinate"] == 2
+    assert "coordinate 2, category 1" in report["error"]["message"]
+    assert "category 1" in err
+
+
 def test_internal_invariant_maps_to_exit_5(capsys, bernoulli_file, monkeypatch):
     def boom(*args, **kwargs):
         raise DegenerateConditional("forced for the exit-code contract")

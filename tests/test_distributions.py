@@ -8,6 +8,7 @@ from tvdist.errors import (
     DomainMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InstanceFormatError,
     MarginalNotNormalized,
     NegativeProbability,
 )
@@ -49,6 +50,23 @@ def test_validate_negative_entry():
         tv.validate([[0.5, 0.5], [1.2, -0.2]])
     assert info.value.coordinate == 2
     assert info.value.category == 2
+
+
+@pytest.mark.parametrize(
+    "rows, coordinate, category",
+    [
+        ([[True, False]], 1, 1),
+        ([[0.5, 0.5], [0.5, True]], 2, 2),
+        ([["0.5", 0.5]], 1, 1),
+        ([[0.25, 0.75], [0.5, "0.5"]], 2, 2),
+    ],
+)
+def test_validate_rejects_bool_and_string_entries(rows, coordinate, category):
+    with pytest.raises(InstanceFormatError) as info:
+        tv.validate(rows)
+    assert info.value.coordinate == coordinate
+    assert info.value.category == category
+    assert f"coordinate {coordinate}, category {category}" in str(info.value)
 
 
 def test_validate_non_finite_entry():
