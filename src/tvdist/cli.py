@@ -27,7 +27,6 @@ from .errors import (
     IdenticalDistributions,
     InstanceFormatError,
     InternalInvariantError,
-    InvalidParameter,
     ValidationError,
 )
 from .estimator import (
@@ -271,7 +270,7 @@ _COMMANDS = {
 }
 
 
-def _emit_error(code: int, exc: Exception) -> None:
+def _emit_error(exc: Exception) -> None:
     payload: dict[str, Any] = {
         "error": {"type": type(exc).__name__, "message": str(exc)}
     }
@@ -289,20 +288,17 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, summary = _COMMANDS[args.command](args)
-    except (ValidationError, InvalidParameter, InstanceFormatError) as exc:
-        _emit_error(EXIT_VALIDATION, exc)
-        return EXIT_VALIDATION
-    except IdenticalDistributions as exc:
-        _emit_error(EXIT_VALIDATION, exc)
+    except (ValidationError, IdenticalDistributions) as exc:
+        _emit_error(exc)
         return EXIT_VALIDATION
     except BudgetExceeded as exc:
-        _emit_error(EXIT_BUDGET, exc)
+        _emit_error(exc)
         return EXIT_BUDGET
     except InternalInvariantError as exc:
-        _emit_error(EXIT_INTERNAL, exc)
+        _emit_error(exc)
         return EXIT_INTERNAL
     except OSError as exc:
-        _emit_error(EXIT_IO, exc)
+        _emit_error(exc)
         return EXIT_IO
     report["timing"]["seconds"] = time.perf_counter() - started
     json.dump(report, sys.stdout, indent=2)
