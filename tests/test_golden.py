@@ -17,6 +17,9 @@ import pytest
 import tvdist as tv
 
 SAMPLES = 9000  # two full blocks and a short one
+#: Short blocks of 1, 2 and 3 draws mod 4: skipping a d_i = 0 coordinate
+#: then starts and ends inside one 4-output Philox counter step.
+UNALIGNED_SAMPLES = (4096 + 1001, 4096 + 1002, 4096 + 1003)
 NAIVE_SAMPLES = 5000
 BATCH = 5000
 
@@ -108,6 +111,16 @@ ESTIMATE_PINS = {
     "interleaved_identical": (13, "0x1.3907ce59ac92cp-3", "0x1.860e73b443f9ep-2"),
 }
 
+#: (name, samples) -> (seed, estimate.hex(), mean_f.hex()) at unaligned counts
+UNALIGNED_PINS = {
+    ("interleaved_identical", 5097): (41, "0x1.338b01f2b063ap-3", "0x1.7f37fb35b7e8bp-2"),
+    ("interleaved_identical", 5098): (41, "0x1.35b9aa49ed1f7p-3", "0x1.81f01aeafaf6ep-2"),
+    ("interleaved_identical", 5099): (41, "0x1.35121c66ee742p-3", "0x1.811f5254e06a1p-2"),
+    ("mixed_domains_no_disjoint", 5097): (42, "0x1.02757b6565303p-2", "0x1.08771cf9653d8p-1"),
+    ("mixed_domains_no_disjoint", 5098): (42, "0x1.01ce3f67ebe16p-2", "0x1.07cbfe119af9cp-1"),
+    ("mixed_domains_no_disjoint", 5099): (42, "0x1.01971a67dfa6cp-2", "0x1.079391004bdaep-1"),
+}
+
 #: name -> (seed, naive estimate.hex())
 NAIVE_PINS = {
     "wide_binary": (21, "0x1.0c2e3fa0ecba2p-2"),
@@ -115,6 +128,9 @@ NAIVE_PINS = {
     "mixed_domains_no_disjoint": (24, "0x1.f99aa01e5d2c1p-3"),
     "interleaved_identical": (23, "0x1.3cc71f64bdc3dp-3"),
 }
+
+#: (name, samples, seed, naive estimate.hex()) at an unaligned count
+UNALIGNED_NAIVE_PIN = ("interleaved_identical", 5099, 43, "0x1.3d9ae1fe11f32p-3")
 
 #: name -> (seed, sha256 of the int64 selection bytes)
 BATCH_PINS = {
@@ -153,6 +169,26 @@ def test_estimate_bits_are_pinned(name, workers):
     result = tv.estimate_tv(p, q, config)
     assert result.estimate.hex() == estimate_hex
     assert result.mean_f.hex() == mean_hex
+
+
+@pytest.mark.parametrize("name,samples", sorted(UNALIGNED_PINS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unaligned_estimate_bits_are_pinned(name, samples, workers):
+    assert samples in UNALIGNED_SAMPLES
+    p, q = _pair(name)
+    seed, estimate_hex, mean_hex = UNALIGNED_PINS[name, samples]
+    config = tv.EstimatorConfig(
+        epsilon=0.1, delta=0.05, seed=seed, samples_override=samples, workers=workers
+    )
+    result = tv.estimate_tv(p, q, config)
+    assert result.estimate.hex() == estimate_hex
+    assert result.mean_f.hex() == mean_hex
+
+
+def test_unaligned_naive_bits_are_pinned():
+    name, samples, seed, estimate_hex = UNALIGNED_NAIVE_PIN
+    p, q = _pair(name)
+    assert tv.naive_estimate_tv(p, q, samples, seed).estimate.hex() == estimate_hex
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
