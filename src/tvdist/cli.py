@@ -119,7 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument(
         "--samples", type=_positive_int, default=None, help="override the sample count"
     )
-    estimate.add_argument("--workers", type=_positive_int, default=1)
+    estimate.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help=(
+            "2 or more: the caller computes while one other thread fills "
+            "uniforms; more than 2 adds nothing while the arithmetic holds "
+            "the interpreter lock; never changes the result"
+        ),
+    )
 
     exact = sub.add_parser("exact", help="exact distance by full enumeration")
     exact.add_argument("instance")

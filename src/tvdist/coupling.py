@@ -22,19 +22,24 @@ distances where naive products lose everything to rounding.
 
 Randomness: a run is identified by a 64-bit ``seed``; work unit ``b``
 (a block of up to :data:`SAMPLE_BLOCK` consecutive draws) uses the
-counter-based generator ``Philox(SeedSequence([seed, b]))``. It consumes
-one uniform per draw per coordinate, in coordinate order: one
-``Generator.random`` call per coordinate fills the uniforms of all the
-block's draws. Coordinates with ``d_i = 0``, whose step the estimate path
-skips, still consume theirs, so every coordinate's uniforms are the same
+counter-based generator ``Philox(SeedSequence([seed, b]))``. Its stream
+holds one uniform per draw per coordinate, in coordinate order: coordinate
+``k`` owns outputs ``k * size`` to ``(k + 1) * size`` of a block of
+``size`` draws, the row one ``Generator.random`` call per coordinate would
+fill. Coordinates whose step a run leaves out (``d_i = 0`` on the estimate
+path) have their stretch of the stream advanced over, and every later
+position is unchanged, so every coordinate's uniforms are the same
 whichever outputs a run asks for. The mapping from draw index to block is
-fixed by the block size alone, so results never depend on how blocks are
-distributed over workers.
+fixed by the block size alone, so results never depend on whether the
+uniforms are filled on the calling thread or ahead of it on another one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +63,9 @@ from .errors import (
 
 #: Draws per RNG work unit; fixed so that results are worker-count invariant.
 SAMPLE_BLOCK = 4096
+
+#: Doubles per uniform chunk filled ahead of the kernel (two in flight).
+UNIFORM_CHUNK = 2**16
 
 #: Allowed |sum of weights - normalizer| in the diagnostic identity check.
 WEIGHT_SUM_TOL = 1e-12
@@ -90,6 +98,111 @@ def block_sizes(count: int, block: int = SAMPLE_BLOCK) -> list[int]:
     """Split ``count`` draws into fixed-size blocks (last one may be short)."""
     full, rest = divmod(count, block)
     return [block] * full + ([rest] if rest else [])
+
+
+def _stream_runs(steps: list[int], n: int) -> list[tuple[int, int]]:
+    """``(skip, take)`` coordinate runs covering a block's ``n`` coordinates.
+
+    ``steps`` lists the 0-based coordinates that need uniforms, ascending;
+    each run passes over ``skip`` coordinates, then fills rows for the next
+    ``take``.
+    """
+    runs: list[tuple[int, int]] = []
+    pos = 0
+    for k in steps:
+        if runs and k == pos:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((k - pos, 1))
+        pos = k + 1
+    if pos < n:
+        runs.append((n - pos, 0))
+    return runs
+
+
+def _pass_over(bits: Philox, drawn: int, count: int) -> None:
+    """Move a Philox stream past its next ``count`` outputs, ``drawn`` being drawn.
+
+    Philox makes outputs four per counter step, and ``advance`` moves the
+    counter but drops the outputs still buffered. So the up to 3 buffered
+    ones are drawn first, whole steps are advanced over, and the remainder
+    is drawn.
+    """
+    head = min(count, -drawn % 4)
+    rest = count - head
+    if head:
+        bits.random_raw(head, output=False)
+    if rest >= 4:
+        bits.advance(rest // 4)
+    if rest % 4:
+        bits.random_raw(rest % 4, output=False)
+
+
+def _uniform_chunks(
+    rng: Generator,
+    size: int,
+    runs: list[tuple[int, int]],
+    take_buffer: Callable[[], np.ndarray],
+) -> Iterator[Iterable[np.ndarray]]:
+    """Uniform rows of a block's needed coordinates, a chunk of rows at a time.
+
+    Each chunk holds the rows of consecutive needed coordinates, as many as
+    fit in the flat buffer ``take_buffer()`` returns, filled by one
+    ``rng.random`` call; skipped coordinates are passed over. The stream
+    ends where drawing every row would have left it.
+    """
+    bits = rng.bit_generator
+    drawn = 0
+    for skip, take in runs:
+        if skip:
+            _pass_over(bits, drawn, skip * size)
+            drawn += skip * size
+        while take:
+            flat = take_buffer()
+            rows = min(take, flat.size // size)
+            chunk = flat[: rows * size]
+            rng.random(out=chunk)
+            yield (chunk,) if rows == 1 else chunk.reshape(rows, size)
+            take -= rows
+            drawn += rows * size
+
+
+def _stream_rows(
+    seed: int, sizes: list[int], runs: list[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """Uniform rows of the needed coordinates, block after block.
+
+    Rows are filled on the calling thread into one reused buffer; a row is
+    overwritten once the next one is asked for.
+    """
+    flat = np.empty(max(sizes))
+    for block, size in enumerate(sizes):
+        for rows in _uniform_chunks(block_rng(seed, block), size, runs, lambda: flat):
+            yield from rows
+
+
+def _prefetched_rows(
+    seed: int, sizes: list[int], runs: list[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """The rows of :func:`_stream_rows`, filled one chunk ahead on a pool thread.
+
+    Chunks of :data:`UNIFORM_CHUNK` doubles alternate between two buffers:
+    the next chunk is filled while the caller reads the current one, and the
+    one after only once the caller has moved past it. The filling runs
+    across block boundaries. Its errors are raised to the caller, and
+    closing the iterator waits for the fill in flight.
+    """
+    buffers = itertools.cycle([np.empty(UNIFORM_CHUNK), np.empty(UNIFORM_CHUNK)])
+    chunks = (
+        rows
+        for block, size in enumerate(sizes)
+        for rows in _uniform_chunks(block_rng(seed, block), size, runs, buffers.__next__)
+    )
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tvdist-uniforms") as pool:
+        ahead = pool.submit(next, chunks, None)
+        while (rows := ahead.result()) is not None:
+            ahead = pool.submit(next, chunks, None)
+            yield from rows
 
 
 @dataclass(frozen=True)
@@ -278,7 +391,8 @@ def _select(
 def _sample_block(
     tables: _PairTables,
     stats: GreedyCouplingStats,
-    rng: Generator,
+    steps: list[int],
+    rows: Iterator[np.ndarray],
     size: int,
     *,
     want_assignments: bool,
@@ -289,26 +403,24 @@ def _sample_block(
 
     Returns ``(assignments, f)`` where ``assignments`` is a 0-based
     ``(n, size)`` selection matrix (one row per coordinate) and ``f`` the
-    per-sample estimate values, each only when requested. One uniform is
-    consumed per draw per coordinate. Cumulative weights are laid out one
-    row per category over the block's draws, in preallocated buffers, and
-    categories with ``Q >= P`` (a ``min(P, Q)/P`` ratio of exactly 1) share
-    one disagreement row; a binary coordinate costs two weight rows and one
-    comparison.
+    per-sample estimate values, each only when requested. ``steps`` lists
+    the 0-based coordinates to step, ascending, and ``rows`` yields one row
+    of ``size`` uniforms for each, which the step overwrites. Cumulative
+    weights are laid out one row per category over the block's draws, in
+    preallocated buffers, and categories with ``Q >= P`` (a
+    ``min(P, Q)/P`` ratio of exactly 1) share one disagreement row; a
+    binary coordinate costs two weight rows and one comparison.
 
-    When only ``f`` is requested, coordinates with ``d_k = 0`` consume their
-    uniforms and are otherwise skipped: every ratio there is exactly 1
-    (log ``+0.0``), so neither ``f`` nor a later weight can change, and the
-    step's total equals the disagreement factor the previous step chose,
-    which is positive.
+    Assignments and invariant checks need every coordinate stepped. When
+    only ``f`` is requested, coordinates with ``d_k = 0`` may be left out:
+    every ratio there is exactly 1 (log ``+0.0``), so neither ``f`` nor a
+    later weight can change, and the step's total equals the disagreement
+    factor the previous step chose, which is positive.
     """
-    n = stats.n
     suffix = [
         -math.inf if zero else log
         for zero, log in zip(stats.suffix_zero, stats.suffix_log)
     ]
-    skip_identical = want_f and not (want_assignments or check_invariants)
-    uniform = np.empty(size)
     log_a = np.zeros(size)
     t_qp = np.zeros(size) if want_f else None
     qp_any = np.zeros(size, dtype=bool) if want_f else None
@@ -318,15 +430,12 @@ def _sample_block(
     flag = np.empty(size, dtype=bool)
     cum = np.empty((tables.max_q, size))
     chosen = np.empty(size, dtype=np.intp)
-    selections = np.empty((n, size), dtype=np.intp) if want_assignments else None
+    selections = np.empty((stats.n, size), dtype=np.intp) if want_assignments else None
 
-    for k in range(1, n + 1):
-        rng.random(out=uniform)
-        if skip_identical and stats.d[k - 1] == 0.0:
-            continue
-        lo, hi = tables.bounds[k - 1], tables.bounds[k]
+    for k, uniform in zip(steps, rows):
+        lo, hi = tables.bounds[k], tables.bounds[k + 1]
         log_r_k = tables.log_r[lo:hi]
-        s = suffix[k]
+        s = suffix[k + 1]
         # w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k), accumulated in
         # category order; expm1(x) * -P equals P * -expm1(x) bit for bit
         have_shared = False
@@ -355,24 +464,24 @@ def _sample_block(
         total_low = float(total.min())
         if not total_low > 0.0:
             raise DegenerateConditional(
-                f"step {k}: conditional weights sum to a non-positive value"
+                f"step {k + 1}: conditional weights sum to a non-positive value"
             )
         if check_invariants:
-            normalizer = -np.expm1(log_a + suffix[k - 1])
+            normalizer = -np.expm1(log_a + suffix[k])
             gap = float(np.abs(total - normalizer).max())
             if gap > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
                 raise DegenerateConditional(
-                    f"step {k}: weight sum deviates from its normalizer by {gap:g}"
+                    f"step {k + 1}: weight sum deviates from its normalizer by {gap:g}"
                 )
 
         threshold = np.multiply(uniform, total, out=uniform)
-        picked = selections[k - 1] if want_assignments else chosen
+        picked = selections[k] if want_assignments else chosen
         _select(cum[:q_k], threshold, total_low, picked, flag)
         np.add(log_a, log_r_k.take(picked, out=scratch, mode="clip"), out=log_a)
         if want_f:
             log_qp_k = tables.log_qp[lo:hi]
             np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
-            if tables.q_zero_in[k - 1]:
+            if tables.q_zero_in[k]:
                 qp_any |= tables.q_zero[lo:hi][picked]
 
     f = None
@@ -486,12 +595,16 @@ def sample_pi_batch(
         )
     tables = _PairTables(p, q)
     out = np.empty((count, p.n), dtype=np.int64)
+    steps = list(range(p.n))
+    sizes = block_sizes(count)
+    rows = _stream_rows(seed, sizes, _stream_runs(steps, p.n))
     offset = 0
-    for block, size in enumerate(block_sizes(count)):
+    for size in sizes:
         selections, _ = _sample_block(
             tables,
             stats,
-            block_rng(seed, block),
+            steps,
+            rows,
             size,
             want_assignments=True,
             want_f=False,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +31,11 @@ from .coupling import (
     F_RANGE_TOL,
     GreedyCouplingStats,
     _PairTables,
+    _prefetched_rows,
     _sample_block,
     _select,
-    block_rng,
+    _stream_rows,
+    _stream_runs,
     block_sizes,
     build_stats,
     check_seed,
@@ -52,8 +54,10 @@ class EstimatorConfig:
     """Accuracy targets and reproducibility knobs for :func:`estimate_tv`.
 
     ``samples_override`` replaces the derived sample count when set.
-    Worker count only distributes fixed sample blocks over threads; it
-    never changes the result.
+    With ``workers >= 2`` the calling thread runs the sampling arithmetic
+    while one other thread fills its uniforms ahead of it; more than 2 adds
+    nothing while that arithmetic is bound by the interpreter lock. The
+    worker count never changes the result.
     """
 
     epsilon: float
@@ -170,18 +174,6 @@ def estimator_f(
     return min(max(f, 0.0), 1.0)
 
 
-def _worker_chunks(block_count: int, workers: int) -> list[range]:
-    """Contiguous block ranges, one per worker (some may be empty)."""
-    per, extra = divmod(block_count, workers)
-    chunks = []
-    start = 0
-    for w in range(workers):
-        size = per + (1 if w < extra else 0)
-        chunks.append(range(start, start + size))
-        start += size
-    return chunks
-
-
 def estimate_tv(
     p: ProductDistribution, q: ProductDistribution, config: EstimatorConfig
 ) -> EstimateResult:
@@ -192,7 +184,8 @@ def estimate_tv(
     overridden) are processed in fixed blocks; block ``b`` uses the RNG
     stream derived from ``(seed, b)`` and contributes an error-free partial
     sum, merged in block order. The result is therefore reproducible and
-    independent of ``workers``.
+    independent of ``workers``, which only decides whether the uniforms are
+    filled ahead on a second thread.
     """
     start = time.perf_counter()
     stats = build_stats(p, q)
@@ -212,31 +205,25 @@ def estimate_tv(
     )
     tables = _PairTables(p, q)
     sizes = block_sizes(m)
-
-    def run_blocks(blocks: range) -> list[tuple[int, float]]:
+    # d_k = 0 coordinates cannot change f (see _sample_block)
+    steps = [k for k, d in enumerate(stats.d) if d != 0.0]
+    runs = _stream_runs(steps, p.n)
+    stream = _stream_rows if config.workers == 1 else _prefetched_rows
+    with closing(stream(config.seed, sizes, runs)) as rows:
         partials = []
-        for b in blocks:
+        for size in sizes:
             _, f = _sample_block(
                 tables,
                 stats,
-                block_rng(config.seed, b),
-                sizes[b],
+                steps,
+                rows,
+                size,
                 want_assignments=False,
                 want_f=True,
                 check_invariants=False,
             )
-            partials.append((b, math.fsum(memoryview(f))))
-        return partials
-
-    if config.workers == 1 or len(sizes) == 1:
-        partials = run_blocks(range(len(sizes)))
-    else:
-        chunks = [c for c in _worker_chunks(len(sizes), config.workers) if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(run_blocks, chunk) for chunk in chunks]
-            partials = [item for future in futures for item in future.result()]
-    partials.sort(key=lambda item: item[0])
-    mean_f = math.fsum(total for _, total in partials) / m
+            partials.append(math.fsum(memoryview(f)))
+    mean_f = math.fsum(partials) / m
     estimate = mean_f * stats.pr_diff
     return EstimateResult(
         estimate=estimate,
@@ -266,16 +253,24 @@ def naive_estimate_tv(
     d = tuple(coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals))
     tables = _PairTables(p, q)
     bounds = list(zip(tables.bounds, tables.bounds[1:]))
+    # a coordinate whose Q/P ratios are all exactly 1 cannot change g
+    steps = [
+        k
+        for k, (lo, hi) in enumerate(bounds)
+        if tables.q_zero_in[k] or tables.log_qp[lo:hi].any()
+    ]
     cums = [np.cumsum(tables.p[lo:hi]) for lo, hi in bounds]
+    sizes = block_sizes(samples)
+    rows = _stream_rows(seed, sizes, _stream_runs(steps, p.n))
     partials = []
-    for b, size in enumerate(block_sizes(samples)):
-        rng = block_rng(seed, b)
+    for size in sizes:
         chosen = np.empty(size, dtype=np.intp)
         flag = np.empty(size, dtype=bool)
         log_qp = np.zeros(size)
         q_zero = np.zeros(size, dtype=bool)
-        for cum, (lo, hi) in zip(cums, bounds):
-            threshold = rng.random(size) * cum[-1]
+        for k, uniform in zip(steps, rows):
+            (lo, hi), cum = bounds[k], cums[k]
+            threshold = np.multiply(uniform, cum[-1], out=uniform)
             _select(cum, threshold, cum[-1], chosen, flag)
             q_zero |= tables.q_zero[lo:hi][chosen]
             log_qp += tables.log_qp[lo:hi][chosen]

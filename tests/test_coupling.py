@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -272,3 +275,169 @@ def test_select_matches_reference_selection():
     out = np.empty(4, dtype=np.intp)
     _select(cum, threshold, float(cum[-1].min()), out, np.empty(4, dtype=bool))
     assert np.array_equal(out, expected) and not out.any()
+
+
+# --- uniform stream ---------------------------------------------------------
+
+
+def _random_plan(rng: np.random.Generator) -> list[bool]:
+    """Alternating needed and skipped runs of 0-40 coordinates."""
+    needed: list[bool] = []
+    for run in range(int(rng.integers(1, 8))):
+        needed += [run % 2 == 0] * int(rng.integers(0, 41))
+    return needed
+
+
+def test_uniform_chunks_match_plain_generator():
+    """Rows of the needed coordinates equal plain ``Generator.random`` rows,
+    and the stream ends where drawing every row would have left it, for
+    skipped stretches of any length and alignment."""
+    from tvdist.coupling import _stream_runs, _uniform_chunks, block_rng
+
+    rng = np.random.default_rng(77)
+    unaligned = 0
+    for trial in range(200):
+        needed = _random_plan(rng)
+        n = len(needed)
+        size = int(rng.choice([1, 2, 3, 4, 5, 7, 13]))
+        reference = block_rng(trial, 0)
+        expected = reference.random((n, size))[needed]
+        after = reference.random(9)
+        steps = [k for k, need in enumerate(needed) if need]
+        flat = np.empty(size * int(rng.integers(1, 5)))
+        stream = block_rng(trial, 0)
+        got = [
+            row.copy()
+            for rows in _uniform_chunks(stream, size, _stream_runs(steps, n), lambda: flat)
+            for row in rows
+        ]
+        assert np.array_equal(np.reshape(got, (-1, size)), expected), trial
+        assert np.array_equal(stream.random(9), after), trial
+        unaligned += any(
+            need and not prev and k * size % 4 for k, (prev, need) in
+            enumerate(zip([True, *needed], needed))
+        )
+    assert unaligned > 50  # many plans resume mid counter step
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
+    """Both readers give every block's needed rows in block order; the
+    prefetching one also when its two buffers must be reused many times."""
+    from tvdist import coupling
+
+    monkeypatch.setattr(coupling, "UNIFORM_CHUNK", 3 * 7)
+    needed = [True, False, False, True, True, True, False, True, True, False]
+    steps = [k for k, need in enumerate(needed) if need]
+    sizes = [7, 7, 5, 7]
+    expected = [
+        row
+        for block, size in enumerate(sizes)
+        for row in coupling.block_rng(5, block).random((len(needed), size))[needed]
+    ]
+    stream = coupling._prefetched_rows if prefetch else coupling._stream_rows
+    rows = stream(5, sizes, coupling._stream_runs(steps, len(needed)))
+    got = [next(rows).copy() for _ in expected]
+    rows.close()
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+
+def _identical_coordinates_pair():
+    p_rows = [[0.5, 0.5], [0.2, 0.3, 0.5], [0.6, 0.4], [0.1, 0.9]] * 8
+    q_rows = [[0.5, 0.5], [0.25, 0.3, 0.45], [0.6, 0.4], [0.15, 0.85]] * 8
+    return tv.validate(p_rows), tv.validate(q_rows)
+
+
+def _started_threads(monkeypatch) -> list[str]:
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+def test_single_worker_starts_no_thread(monkeypatch):
+    p, q = _identical_coordinates_pair()
+    started = _started_threads(monkeypatch)
+    config = tv.EstimatorConfig(0.1, 0.05, seed=3, samples_override=9001, workers=1)
+    one = tv.estimate_tv(p, q, config)
+    tv.naive_estimate_tv(p, q, 9001, 3)
+    tv.sample_pi_batch(p, q, tv.build_stats(p, q), 3, 5000)
+    assert started == []
+    two = tv.estimate_tv(p, q, dataclasses.replace(config, workers=2))
+    assert len(started) == 1
+    assert (two.estimate.hex(), two.mean_f.hex()) == (one.estimate.hex(), one.mean_f.hex())
+
+
+def test_filling_thread_error_reaches_caller_and_stops(monkeypatch):
+    from tvdist import coupling
+
+    block_rng = coupling.block_rng
+    raised_on = []
+
+    def failing_block_rng(seed, block):
+        if block == 1:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("fill failed")
+        return block_rng(seed, block)
+
+    monkeypatch.setattr(coupling, "block_rng", failing_block_rng)
+    p, q = _identical_coordinates_pair()
+    before = set(threading.enumerate())
+    config = tv.EstimatorConfig(0.1, 0.05, seed=3, samples_override=3 * 4096, workers=2)
+    with pytest.raises(RuntimeError, match="fill failed"):
+        tv.estimate_tv(p, q, config)
+    assert raised_on and raised_on[0] is not threading.main_thread()
+    assert set(threading.enumerate()) == before
+
+
+def test_reader_error_stops_filling_thread(monkeypatch):
+    """A kernel error on the calling thread leaves no filling thread running."""
+    from tvdist import estimator
+    from tvdist.errors import ZeroDenominator
+
+    def failing_block(tables, stats, steps, rows, size, **_):
+        next(rows)
+        raise ZeroDenominator("kernel failed")
+
+    monkeypatch.setattr(estimator, "_sample_block", failing_block)
+    p = tv.validate([[0.5, 0.5]] * 100)
+    q = tv.validate([[0.52, 0.48]] * 100)
+    before = set(threading.enumerate())
+    config = tv.EstimatorConfig(0.1, 0.05, seed=3, samples_override=8192, workers=2)
+    with pytest.raises(ZeroDenominator, match="kernel failed"):
+        tv.estimate_tv(p, q, config)
+    assert set(threading.enumerate()) == before
+
+
+def test_prefetch_stress_keeps_bits(monkeypatch):
+    """Concurrent prefetching estimates with one-row chunks and a tiny
+    switch interval give the bits of the single-thread path."""
+    from tvdist import coupling
+
+    monkeypatch.setattr(coupling, "UNIFORM_CHUNK", coupling.SAMPLE_BLOCK)
+    p, q = _identical_coordinates_pair()
+    config = tv.EstimatorConfig(0.1, 0.05, seed=8, samples_override=9001, workers=1)
+    expected = tv.estimate_tv(p, q, config).mean_f.hex()
+    results: list[str] = []
+
+    def run():
+        result = tv.estimate_tv(p, q, dataclasses.replace(config, workers=2))
+        results.append(result.mean_f.hex())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run) for _ in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [expected] * 3
