@@ -348,7 +348,7 @@ def _identical_coordinates_pair():
     return tv.validate(p_rows), tv.validate(q_rows)
 
 
-def _started_threads(monkeypatch) -> list[str]:
+def test_single_worker_starts_no_thread(monkeypatch):
     started: list[str] = []
     start = threading.Thread.start
 
@@ -357,12 +357,7 @@ def _started_threads(monkeypatch) -> list[str]:
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", record)
-    return started
-
-
-def test_single_worker_starts_no_thread(monkeypatch):
     p, q = _identical_coordinates_pair()
-    started = _started_threads(monkeypatch)
     config = tv.EstimatorConfig(0.1, 0.05, seed=3, samples_override=9001, workers=1)
     one = tv.estimate_tv(p, q, config)
     tv.naive_estimate_tv(p, q, 9001, 3)
