@@ -22,6 +22,11 @@ SAMPLES = 9000  # two full blocks and a short one
 UNALIGNED_SAMPLES = (4096 + 1001, 4096 + 1002, 4096 + 1003)
 NAIVE_SAMPLES = 5000
 BATCH = 5000
+#: 5 full blocks and a 1-draw block: one panel of 4 blocks, one of 1 and a
+#: short one, so consecutive blocks are stepped side by side and apart.
+PANEL_SAMPLES = 5 * 4096 + 1
+#: 4 full blocks and a 7-draw block: one full panel and a short one.
+PANEL_BATCH = 4 * 4096 + 7
 
 
 def _normalise(weights: list[float]) -> list[float]:
@@ -121,6 +126,22 @@ UNALIGNED_PINS = {
     ("mixed_domains_no_disjoint", 5099): (42, "0x1.01971a67dfa6cp-2", "0x1.079391004bdaep-1"),
 }
 
+#: name -> (seed, estimate.hex(), mean_f.hex()) at PANEL_SAMPLES draws
+PANEL_PINS = {
+    "wide_binary": (51, "0x1.0716e8397fbd7p-2", "0x1.0869a6013d12dp-2"),
+    "mixed_domains_no_disjoint": (52, "0x1.01a810c7f727dp-2", "0x1.07a4ec4a2bfbbp-1"),
+}
+
+#: (name, seed, naive estimate.hex()) at PANEL_SAMPLES draws
+PANEL_NAIVE_PIN = ("interleaved_identical", 53, "0x1.39421866e3adep-3")
+
+#: (name, seed, sha256 of the int64 selection bytes) at PANEL_BATCH draws
+PANEL_BATCH_PIN = (
+    "mixed_domains",
+    54,
+    "608b4b1410af3c598084c402707650f3ab7df6eb2f5563b8d77020d9ab2c699f",
+)
+
 #: name -> (seed, naive estimate.hex())
 NAIVE_PINS = {
     "wide_binary": (21, "0x1.0c2e3fa0ecba2p-2"),
@@ -206,5 +227,35 @@ def test_checked_selections_are_pinned(name):
     stats = tv.build_stats(p, q)
     draws = tv.sample_pi_batch(p, q, stats, seed, BATCH, check_invariants=True)
     assert draws.shape == (BATCH, p.n)
+    raw = np.ascontiguousarray(draws, dtype=np.int64).tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_PINS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_panel_estimate_bits_are_pinned(name, workers):
+    p, q = _pair(name)
+    seed, estimate_hex, mean_hex = PANEL_PINS[name]
+    config = tv.EstimatorConfig(
+        epsilon=0.1, delta=0.05, seed=seed, samples_override=PANEL_SAMPLES, workers=workers
+    )
+    result = tv.estimate_tv(p, q, config)
+    assert result.estimate.hex() == estimate_hex
+    assert result.mean_f.hex() == mean_hex
+
+
+def test_panel_naive_bits_are_pinned():
+    name, seed, estimate_hex = PANEL_NAIVE_PIN
+    p, q = _pair(name)
+    result = tv.naive_estimate_tv(p, q, PANEL_SAMPLES, seed)
+    assert result.estimate.hex() == estimate_hex
+
+
+def test_panel_checked_selections_are_pinned():
+    name, seed, digest = PANEL_BATCH_PIN
+    p, q = _pair(name)
+    stats = tv.build_stats(p, q)
+    draws = tv.sample_pi_batch(p, q, stats, seed, PANEL_BATCH, check_invariants=True)
+    assert draws.shape == (PANEL_BATCH, p.n)
     raw = np.ascontiguousarray(draws, dtype=np.int64).tobytes()
     assert hashlib.sha256(raw).hexdigest() == digest
