@@ -32,14 +32,19 @@ position is unchanged, so every coordinate's uniforms are the same
 whichever outputs a run asks for. The mapping from draw index to block is
 fixed by the block size alone, so results never depend on whether the
 uniforms are filled on the calling thread or ahead of it on another one.
+
+Blocks stay the unit of randomness and of summation. The kernel only
+groups up to :data:`PANEL_BLOCKS` consecutive equal-size blocks into a
+panel and steps them side by side, as ``(blocks, size)`` arrays, to pay
+its per-call costs once per panel instead of once per block; each block
+keeps its own stream, and its values are summed on their own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +63,17 @@ from .errors import (
     EstimatorOutOfRange,
     IdenticalDistributions,
     InvalidParameter,
+    SlackOnlyDifference,
     ZeroDenominator,
 )
 
 #: Draws per RNG work unit; fixed so that results are worker-count invariant.
 SAMPLE_BLOCK = 4096
 
-#: Doubles per uniform chunk filled ahead of the kernel (two in flight).
+#: Consecutive equal-size blocks the kernel steps side by side (a panel).
+PANEL_BLOCKS = 4
+
+#: Doubles per uniform chunk (two in flight when filled ahead).
 UNIFORM_CHUNK = 2**16
 
 #: Allowed |sum of weights - normalizer| in the diagnostic identity check.
@@ -138,71 +147,102 @@ def _pass_over(bits: Philox, drawn: int, count: int) -> None:
         bits.random_raw(rest % 4, output=False)
 
 
+def _panels(sizes: list[int]) -> list[tuple[int, int, int]]:
+    """``(first block, blocks, size)`` of each panel of a run's blocks.
+
+    A panel groups up to :data:`PANEL_BLOCKS` consecutive blocks of equal
+    size, which the kernel steps side by side.
+    """
+    panels: list[tuple[int, int, int]] = []
+    for block, size in enumerate(sizes):
+        if panels and panels[-1][2] == size and panels[-1][1] < PANEL_BLOCKS:
+            first, blocks, _ = panels[-1]
+            panels[-1] = (first, blocks + 1, size)
+        else:
+            panels.append((block, 1, size))
+    return panels
+
+
+def _widest(panels: list[tuple[int, int, int]]) -> int:
+    """Draws in the widest panel."""
+    return max(blocks * size for _, blocks, size in panels)
+
+
 def _uniform_chunks(
-    rng: Generator,
+    rngs: list[Generator],
     size: int,
     runs: list[tuple[int, int]],
     take_buffer: Callable[[], np.ndarray],
-) -> Iterator[Iterable[np.ndarray]]:
-    """Uniform rows of a block's needed coordinates, a chunk of rows at a time.
+) -> Iterator[np.ndarray]:
+    """Uniform rows of a panel's needed coordinates, a chunk of rows at a time.
 
-    Each chunk holds the rows of consecutive needed coordinates, as many as
-    fit in the flat buffer ``take_buffer()`` returns, filled by one
-    ``rng.random`` call; skipped coordinates are passed over. The stream
+    ``rngs`` holds the generators of the panel's blocks. A chunk is a
+    ``(rows, blocks, size)`` view of the flat buffer ``take_buffer()``
+    returns, holding the rows of as many consecutive needed coordinates as
+    fit; each block fills its own slab with one ``rng.random`` call.
+    Skipped coordinates are passed over in every block, and each stream
     ends where drawing every row would have left it.
     """
-    bits = rng.bit_generator
+    blocks = len(rngs)
     drawn = 0
     for skip, take in runs:
         if skip:
-            _pass_over(bits, drawn, skip * size)
+            for rng in rngs:
+                _pass_over(rng.bit_generator, drawn, skip * size)
             drawn += skip * size
         while take:
             flat = take_buffer()
-            rows = min(take, flat.size // size)
-            chunk = flat[: rows * size]
-            rng.random(out=chunk)
-            yield (chunk,) if rows == 1 else chunk.reshape(rows, size)
+            rows = min(take, flat.size // (blocks * size))
+            chunk = flat[: blocks * rows * size].reshape(blocks, rows, size)
+            for rng, slab in zip(rngs, chunk):
+                rng.random(out=slab)
+            yield chunk.swapaxes(0, 1)
             take -= rows
             drawn += rows * size
 
 
-def _stream_rows(
-    seed: int, sizes: list[int], runs: list[tuple[int, int]]
+def _panel_rows(
+    seed: int,
+    panels: list[tuple[int, int, int]],
+    runs: list[tuple[int, int]],
+    *,
+    prefetch: bool,
 ) -> Iterator[np.ndarray]:
-    """Uniform rows of the needed coordinates, block after block.
+    """Uniform rows of the needed coordinates, panel after panel.
 
-    Rows are filled on the calling thread into one reused buffer; a row is
-    overwritten once the next one is asked for.
+    Each row is a ``(blocks, size)`` view holding one coordinate's row of
+    every block in the panel; it is overwritten once a later chunk is asked
+    for. Chunks hold :data:`UNIFORM_CHUNK` doubles, or one panel row if that
+    is more. Without ``prefetch`` they are filled on the calling thread into
+    one reused buffer. With it, one pool thread fills the next chunk while
+    the caller reads the current one, two buffers alternating, across panel
+    boundaries; its errors are raised to the caller, and closing the
+    iterator waits for the fill in flight.
     """
-    flat = np.empty(max(sizes))
-    for block, size in enumerate(sizes):
-        for rows in _uniform_chunks(block_rng(seed, block), size, runs, lambda: flat):
-            yield from rows
-
-
-def _prefetched_rows(
-    seed: int, sizes: list[int], runs: list[tuple[int, int]]
-) -> Iterator[np.ndarray]:
-    """The rows of :func:`_stream_rows`, filled one chunk ahead on a pool thread.
-
-    Chunks of :data:`UNIFORM_CHUNK` doubles alternate between two buffers:
-    the next chunk is filled while the caller reads the current one, and the
-    one after only once the caller has moved past it. The filling runs
-    across block boundaries. Its errors are raised to the caller, and
-    closing the iterator waits for the fill in flight.
-    """
-    buffers = itertools.cycle([np.empty(UNIFORM_CHUNK), np.empty(UNIFORM_CHUNK)])
+    capacity = max(UNIFORM_CHUNK, _widest(panels))
+    buffers = itertools.cycle([np.empty(capacity) for _ in range(1 + prefetch)])
     chunks = (
-        rows
-        for block, size in enumerate(sizes)
-        for rows in _uniform_chunks(block_rng(seed, block), size, runs, buffers.__next__)
+        chunk
+        for first, blocks, size in panels
+        for chunk in _uniform_chunks(
+            [block_rng(seed, first + b) for b in range(blocks)],
+            size,
+            runs,
+            buffers.__next__,
+        )
     )
+    if not prefetch:
+        for chunk in chunks:
+            yield from chunk
+        return
+    # imported here: only a prefetching run needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tvdist-uniforms") as pool:
         ahead = pool.submit(next, chunks, None)
-        while (rows := ahead.result()) is not None:
+        while (chunk := ahead.result()) is not None:
             ahead = pool.submit(next, chunks, None)
-            yield from rows
+            yield from chunk
 
 
 @dataclass(frozen=True)
@@ -233,9 +273,17 @@ def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplin
     ``pr_diff`` is computed as ``-expm1(sum_i log1p(-d_i))`` so it stays
     accurate when every ``d_i`` is tiny; coordinates with ``d_i = 1`` are
     carried by the zero flags.
+
+    Raises :class:`SlackOnlyDifference` for a coordinate with ``d_i > 0``
+    whose Q is at least P wherever P is positive: the coupling cannot
+    disagree there, so ``pr_diff`` would count mass the conditional law
+    never reaches.
     """
     require_same_shape(p, q)
     d = tuple(coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals))
+    for i, (d_i, pm, qm) in enumerate(zip(d, p.marginals, q.marginals), start=1):
+        if d_i > 0.0 and not any(b < a for a, b in zip(pm.probs, qm.probs)):
+            raise SlackOnlyDifference(i, d_i)
     n = len(d)
     suffix_log = [0.0] * (n + 1)
     suffix_zero = [False] * (n + 1)
@@ -359,11 +407,12 @@ def _select(
     """Inverse-CDF selection, scanning categories in ascending order.
 
     ``cum`` holds cumulative weights with one row per category, each row
-    either per draw or one value shared by all draws; ``threshold`` is
-    ``u * cum[-1]`` per draw with ``u`` in [0, 1), and ``total_low`` the
-    smallest ``cum[-1]``. ``out`` receives ``#(cum <= threshold)``, clamped
-    to the last category of positive weight, which absorbs residual
-    rounding mass; ``flag`` is scratch space.
+    either shaped like ``threshold`` (one value per draw) or one value
+    shared by all draws; ``threshold`` is ``u * cum[-1]`` per draw with
+    ``u`` in [0, 1), and ``total_low`` the smallest ``cum[-1]``. ``out``
+    receives ``#(cum <= threshold)``, clamped to the last category of
+    positive weight, which absorbs residual rounding mass; ``flag`` is
+    scratch space.
     """
     q = len(cum)
     if q == 1:
@@ -379,13 +428,47 @@ def _select(
     # above the smallest normal double and u < 1, the rounded u * total is
     # below the total, so only tiny totals can need the clamp. Their
     # cumulative sums are multiples of the subnormal spacing and exact, so
-    # a row that grows marks a positive weight.
+    # a row that grows marks a positive weight. Draws are indexed in the
+    # flattened order of ``threshold``.
     if not total_low > _SMALLEST_NORMAL:
         over = np.flatnonzero(threshold >= np.broadcast_to(cum[-1], threshold.shape))
         if over.size:
             rows = np.broadcast_to(np.reshape(cum, (q, -1)), (q, threshold.size))
             grew = np.diff(rows[:, over], axis=0, prepend=0.0) > 0.0
-            out[over] = q - 1 - np.argmax(grew[::-1], axis=0)
+            np.put(out, over, q - 1 - np.argmax(grew[::-1], axis=0))
+
+
+class _Workspace:
+    """Buffers for panels of up to ``width`` draws, allocated once per run.
+
+    Rows of doubles, flags and category indices; :meth:`panel` views the
+    leading entries of every row in a panel's shape, so a run touches fresh
+    pages once rather than once per panel.
+    """
+
+    __slots__ = ("floats", "flags", "picks")
+
+    def __init__(self, width: int, *, floats: int, flags: int, picks: int) -> None:
+        self.floats = np.empty((floats, width))
+        self.flags = np.empty((flags, width), dtype=bool)
+        self.picks = np.empty((picks, width), dtype=np.intp)
+
+    def panel(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(floats, flags, picks)``, each ``(rows, *shape)``, for one panel."""
+        count = shape[0] * shape[1]
+        return (
+            self.floats[:, :count].reshape(-1, *shape),
+            self.flags[:, :count].reshape(-1, *shape),
+            self.picks[:, :count].reshape(-1, *shape),
+        )
+
+
+def _kernel_workspace(
+    tables: _PairTables, stats: GreedyCouplingStats, width: int, *, want_assignments: bool
+) -> _Workspace:
+    """The buffers :func:`_sample_block` needs for panels of up to ``width`` draws."""
+    picks = 1 + stats.n if want_assignments else 1
+    return _Workspace(width, floats=5 + tables.max_q, flags=2, picks=picks)
 
 
 def _sample_block(
@@ -393,23 +476,28 @@ def _sample_block(
     stats: GreedyCouplingStats,
     steps: list[int],
     rows: Iterator[np.ndarray],
-    size: int,
+    shape: tuple[int, int],
     *,
+    work: _Workspace,
     want_assignments: bool,
     want_f: bool,
     check_invariants: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Draw ``size`` outcomes from the conditional disagreement law.
+    """Draw a panel of outcomes from the conditional disagreement law.
 
-    Returns ``(assignments, f)`` where ``assignments`` is a 0-based
-    ``(n, size)`` selection matrix (one row per coordinate) and ``f`` the
-    per-sample estimate values, each only when requested. ``steps`` lists
-    the 0-based coordinates to step, ascending, and ``rows`` yields one row
-    of ``size`` uniforms for each, which the step overwrites. Cumulative
-    weights are laid out one row per category over the block's draws, in
-    preallocated buffers, and categories with ``Q >= P`` (a
-    ``min(P, Q)/P`` ratio of exactly 1) share one disagreement row; a
-    binary coordinate costs two weight rows and one comparison.
+    ``shape`` is ``(blocks, size)``: the panel's blocks of ``size`` draws
+    each, stepped side by side. Every operation acts on each draw alone, so
+    a draw's result does not depend on the panel it is stepped in. Returns
+    ``(assignments, f)`` where ``assignments`` is a 0-based ``(n, *shape)``
+    selection array (one row per coordinate) and ``f`` the per-sample
+    estimate values, each only when requested; both are views into
+    ``work`` (see :func:`_kernel_workspace`) and are overwritten by the
+    next call. ``steps`` lists the 0-based coordinates to step, ascending,
+    and ``rows`` yields one ``shape`` array of uniforms for each, which the
+    step overwrites. Cumulative weights are laid out one row per category,
+    and categories with ``Q >= P`` (a ``min(P, Q)/P`` ratio of exactly 1)
+    share one disagreement row; a binary coordinate costs two weight rows
+    and one comparison.
 
     Assignments and invariant checks need every coordinate stepped. When
     only ``f`` is requested, coordinates with ``d_k = 0`` may be left out:
@@ -421,16 +509,15 @@ def _sample_block(
         -math.inf if zero else log
         for zero, log in zip(stats.suffix_zero, stats.suffix_log)
     ]
-    log_a = np.zeros(size)
-    t_qp = np.zeros(size) if want_f else None
-    qp_any = np.zeros(size, dtype=bool) if want_f else None
-    exponent = np.empty(size)
-    shared = np.empty(size)
-    scratch = np.empty(size)
-    flag = np.empty(size, dtype=bool)
-    cum = np.empty((tables.max_q, size))
-    chosen = np.empty(size, dtype=np.intp)
-    selections = np.empty((stats.n, size), dtype=np.intp) if want_assignments else None
+    floats, (flag, qp_any), picks = work.panel(shape)
+    log_a, t_qp, exponent, shared, scratch = floats[:5]
+    cum = floats[5:]
+    chosen = picks[0]
+    selections = picks[1:] if want_assignments else None
+    log_a.fill(0.0)
+    if want_f:
+        t_qp.fill(0.0)
+        qp_any.fill(False)
 
     for k, uniform in zip(steps, rows):
         lo, hi = tables.bounds[k], tables.bounds[k + 1]
@@ -482,16 +569,22 @@ def _sample_block(
             log_qp_k = tables.log_qp[lo:hi]
             np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
             if tables.q_zero_in[k]:
-                qp_any |= tables.q_zero[lo:hi][picked]
+                q_zero_k = tables.q_zero[lo:hi].take(picked, out=flag, mode="clip")
+                np.logical_or(qp_any, q_zero_k, out=qp_any)
 
     f = None
     if want_f:
-        numer = np.where(qp_any, 1.0, -np.expm1(t_qp))
-        denom = -np.expm1(log_a)
-        live = numer > 0.0
-        if not np.all(denom > 0.0, where=live):
+        # in place: numer = 1 where a Q/P factor is 0, else -expm1(t_qp);
+        # denom = -expm1(log_a); f is written over the spent exponent row
+        numer = np.negative(np.expm1(t_qp, out=t_qp), out=t_qp)
+        np.copyto(numer, 1.0, where=qp_any)
+        denom = np.negative(np.expm1(log_a, out=log_a), out=log_a)
+        live = np.greater(numer, 0.0, out=flag)
+        if not np.all(np.greater(denom, 0.0, out=qp_any), where=live):
             raise ZeroDenominator("drew an outcome whose disagreement mass is zero")
-        f = np.divide(numer, denom, out=np.zeros(size), where=live)
+        f = exponent
+        f.fill(0.0)
+        np.divide(numer, denom, out=f, where=live)
         excess = float(f.max(initial=0.0)) - 1.0
         if excess > F_RANGE_TOL:
             raise EstimatorOutOfRange(f"estimate exceeded 1 by {excess:g}")
@@ -596,20 +689,23 @@ def sample_pi_batch(
     tables = _PairTables(p, q)
     out = np.empty((count, p.n), dtype=np.int64)
     steps = list(range(p.n))
-    sizes = block_sizes(count)
-    rows = _stream_rows(seed, sizes, _stream_runs(steps, p.n))
+    panels = _panels(block_sizes(count))
+    work = _kernel_workspace(tables, stats, _widest(panels), want_assignments=True)
+    rows = _panel_rows(seed, panels, _stream_runs(steps, p.n), prefetch=False)
     offset = 0
-    for size in sizes:
+    for _, blocks, size in panels:
         selections, _ = _sample_block(
             tables,
             stats,
             steps,
             rows,
-            size,
+            (blocks, size),
+            work=work,
             want_assignments=True,
             want_f=False,
             check_invariants=check_invariants,
         )
-        np.add(selections.T, 1, out=out[offset : offset + size])
-        offset += size
+        drawn = blocks * size
+        np.add(selections.reshape(p.n, drawn).T, 1, out=out[offset : offset + drawn])
+        offset += drawn
     return out

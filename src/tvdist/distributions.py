@@ -42,7 +42,7 @@ class CategoricalMarginal:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(x) for x in self.probs))
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
 
     @property
     def domain_size(self) -> int:

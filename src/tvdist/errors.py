@@ -45,6 +45,24 @@ class MarginalNotNormalized(ValidationError):
         )
 
 
+class SlackOnlyDifference(ValidationError):
+    """A coordinate's two marginals differ only by their normalization slack.
+
+    Q is at least P wherever P is positive, which two vectors that both sum
+    to 1 allow only when they are equal. The coupling can then put no
+    disagreement on the coordinate, although its half-L1 distance is
+    positive, so its quantities would contradict each other.
+    """
+
+    def __init__(self, coordinate: int, distance: float):
+        self.coordinate = coordinate
+        self.distance = distance
+        super().__init__(
+            f"coordinate {coordinate}: Q >= P wherever P > 0, so the marginals "
+            f"differ only by normalization slack (half-L1 distance {distance!r})"
+        )
+
+
 class DomainMismatch(ValidationError):
     """Two distributions (or marginals) disagree on shape."""
 

@@ -30,12 +30,15 @@ import numpy as np
 from .coupling import (
     F_RANGE_TOL,
     GreedyCouplingStats,
+    _kernel_workspace,
     _PairTables,
-    _prefetched_rows,
+    _panel_rows,
+    _panels,
     _sample_block,
     _select,
-    _stream_rows,
     _stream_runs,
+    _widest,
+    _Workspace,
     block_sizes,
     build_stats,
     check_seed,
@@ -204,25 +207,28 @@ def estimate_tv(
         else sample_count(p.n, config.epsilon, config.delta)
     )
     tables = _PairTables(p, q)
-    sizes = block_sizes(m)
+    panels = _panels(block_sizes(m))
+    work = _kernel_workspace(tables, stats, _widest(panels), want_assignments=False)
     # d_k = 0 coordinates cannot change f (see _sample_block)
     steps = [k for k, d in enumerate(stats.d) if d != 0.0]
     runs = _stream_runs(steps, p.n)
-    stream = _stream_rows if config.workers == 1 else _prefetched_rows
-    with closing(stream(config.seed, sizes, runs)) as rows:
-        partials = []
-        for size in sizes:
+    partials = []
+    prefetch = config.workers > 1
+    with closing(_panel_rows(config.seed, panels, runs, prefetch=prefetch)) as rows:
+        for _, blocks, size in panels:
             _, f = _sample_block(
                 tables,
                 stats,
                 steps,
                 rows,
-                size,
+                (blocks, size),
+                work=work,
                 want_assignments=False,
                 want_f=True,
                 check_invariants=False,
             )
-            partials.append(math.fsum(memoryview(f)))
+            # one error-free sum per block, in block order
+            partials.extend(math.fsum(memoryview(block)) for block in f)
     mean_f = math.fsum(partials) / m
     estimate = mean_f * stats.pr_diff
     return EstimateResult(
@@ -260,14 +266,14 @@ def naive_estimate_tv(
         if tables.q_zero_in[k] or tables.log_qp[lo:hi].any()
     ]
     cums = [np.cumsum(tables.p[lo:hi]) for lo, hi in bounds]
-    sizes = block_sizes(samples)
-    rows = _stream_rows(seed, sizes, _stream_runs(steps, p.n))
+    panels = _panels(block_sizes(samples))
+    work = _Workspace(_widest(panels), floats=1, flags=2, picks=1)
+    rows = _panel_rows(seed, panels, _stream_runs(steps, p.n), prefetch=False)
     partials = []
-    for size in sizes:
-        chosen = np.empty(size, dtype=np.intp)
-        flag = np.empty(size, dtype=bool)
-        log_qp = np.zeros(size)
-        q_zero = np.zeros(size, dtype=bool)
+    for _, blocks, size in panels:
+        (log_qp,), (q_zero, flag), (chosen,) = work.panel((blocks, size))
+        log_qp.fill(0.0)
+        q_zero.fill(False)
         for k, uniform in zip(steps, rows):
             (lo, hi), cum = bounds[k], cums[k]
             threshold = np.multiply(uniform, cum[-1], out=uniform)
@@ -276,7 +282,7 @@ def naive_estimate_tv(
             log_qp += tables.log_qp[lo:hi][chosen]
         with np.errstate(over="ignore"):
             g = np.where(q_zero, 1.0, np.maximum(-np.expm1(log_qp), 0.0))
-        partials.append(math.fsum(memoryview(g)))
+        partials.extend(math.fsum(memoryview(block)) for block in g)
     mean_g = math.fsum(partials) / samples
     return EstimateResult(
         estimate=mean_g,

@@ -289,9 +289,9 @@ def _random_plan(rng: np.random.Generator) -> list[bool]:
 
 
 def test_uniform_chunks_match_plain_generator():
-    """Rows of the needed coordinates equal plain ``Generator.random`` rows,
-    and the stream ends where drawing every row would have left it, for
-    skipped stretches of any length and alignment."""
+    """Rows of the needed coordinates equal plain ``Generator.random`` rows
+    in every block of a panel, and each stream ends where drawing every row
+    would have left it, for skipped stretches of any length and alignment."""
     from tvdist.coupling import _stream_runs, _uniform_chunks, block_rng
 
     rng = np.random.default_rng(77)
@@ -300,19 +300,23 @@ def test_uniform_chunks_match_plain_generator():
         needed = _random_plan(rng)
         n = len(needed)
         size = int(rng.choice([1, 2, 3, 4, 5, 7, 13]))
-        reference = block_rng(trial, 0)
-        expected = reference.random((n, size))[needed]
-        after = reference.random(9)
+        blocks = int(rng.integers(1, 4))
+        references = [block_rng(trial, b) for b in range(blocks)]
+        expected = [r.random((n, size))[needed] for r in references]
+        after = [r.random(9) for r in references]
         steps = [k for k, need in enumerate(needed) if need]
-        flat = np.empty(size * int(rng.integers(1, 5)))
-        stream = block_rng(trial, 0)
+        flat = np.empty(blocks * size * int(rng.integers(1, 5)))
+        streams = [block_rng(trial, b) for b in range(blocks)]
         got = [
             row.copy()
-            for rows in _uniform_chunks(stream, size, _stream_runs(steps, n), lambda: flat)
+            for rows in _uniform_chunks(streams, size, _stream_runs(steps, n), lambda: flat)
             for row in rows
         ]
-        assert np.array_equal(np.reshape(got, (-1, size)), expected), trial
-        assert np.array_equal(stream.random(9), after), trial
+        assert all(row.shape == (blocks, size) for row in got), trial
+        for b in range(blocks):
+            block_rows = np.reshape([row[b] for row in got], (-1, size))
+            assert np.array_equal(block_rows, expected[b]), (trial, b)
+            assert np.array_equal(streams[b].random(9), after[b]), (trial, b)
         unaligned += any(
             need and not prev and k * size % 4 for k, (prev, need) in
             enumerate(zip([True, *needed], needed))
@@ -320,26 +324,49 @@ def test_uniform_chunks_match_plain_generator():
     assert unaligned > 50  # many plans resume mid counter step
 
 
+def test_panels_group_equal_blocks():
+    from tvdist.coupling import PANEL_BLOCKS, _panels, block_sizes
+
+    assert PANEL_BLOCKS == 4
+    assert _panels(block_sizes(5 * 4096 + 1)) == [(0, 4, 4096), (4, 1, 4096), (5, 1, 1)]
+    assert _panels(block_sizes(8 * 4096)) == [(0, 4, 4096), (4, 4, 4096)]
+    assert _panels([7, 7, 5, 7]) == [(0, 2, 7), (2, 1, 5), (3, 1, 7)]
+
+
 @pytest.mark.parametrize("prefetch", [False, True])
 def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
-    """Both readers give every block's needed rows in block order; the
-    prefetching one also when its two buffers must be reused many times."""
+    """The panel reader gives every block's needed rows, panel after panel,
+    with and without prefetching, also when its chunk buffers must be
+    reused many times and hold a single panel row."""
     from tvdist import coupling
 
     monkeypatch.setattr(coupling, "UNIFORM_CHUNK", 3 * 7)
     needed = [True, False, False, True, True, True, False, True, True, False]
     steps = [k for k, need in enumerate(needed) if need]
-    sizes = [7, 7, 5, 7]
-    expected = [
-        row
-        for block, size in enumerate(sizes)
-        for row in coupling.block_rng(5, block).random((len(needed), size))[needed]
-    ]
-    stream = coupling._prefetched_rows if prefetch else coupling._stream_rows
-    rows = stream(5, sizes, coupling._stream_runs(steps, len(needed)))
-    got = [next(rows).copy() for _ in expected]
-    rows.close()
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+    # a short block in the middle, and a full panel of 4 beside one of 1
+    for sizes, grouping in (
+        ([7, 7, 5, 7], [[0, 1], [2], [3]]),
+        ([7] * 5 + [5], [[0, 1, 2, 3], [4], [5]]),
+    ):
+        block_rows = [
+            coupling.block_rng(5, block).random((len(needed), size))[needed]
+            for block, size in enumerate(sizes)
+        ]
+        panels = coupling._panels(sizes)
+        assert [list(range(first, first + blocks)) for first, blocks, _ in panels] == grouping
+        runs = coupling._stream_runs(steps, len(needed))
+        rows = coupling._panel_rows(5, panels, runs, prefetch=prefetch)
+        got = {block: [] for block in range(len(sizes))}
+        for group in grouping:
+            for _ in steps:
+                row = next(rows)
+                assert row.shape == (len(group), sizes[group[0]])
+                for block, block_row in zip(group, row, strict=True):
+                    got[block].append(block_row.copy())
+        assert next(rows, None) is None
+        rows.close()
+        for block, expected in enumerate(block_rows):
+            assert np.array_equal(np.reshape(got[block], expected.shape), expected), block
 
 
 def _identical_coordinates_pair():
@@ -395,7 +422,7 @@ def test_reader_error_stops_filling_thread(monkeypatch):
     from tvdist import estimator
     from tvdist.errors import ZeroDenominator
 
-    def failing_block(tables, stats, steps, rows, size, **_):
+    def failing_block(tables, stats, steps, rows, shape, **_):
         next(rows)
         raise ZeroDenominator("kernel failed")
 
