@@ -324,15 +324,6 @@ def test_uniform_chunks_match_plain_generator():
     assert unaligned > 50  # many plans resume mid counter step
 
 
-def test_panels_group_equal_blocks():
-    from tvdist.coupling import PANEL_BLOCKS, _panels, block_sizes
-
-    assert PANEL_BLOCKS == 4
-    assert _panels(block_sizes(5 * 4096 + 1)) == [(0, 4, 4096), (4, 1, 4096), (5, 1, 1)]
-    assert _panels(block_sizes(8 * 4096)) == [(0, 4, 4096), (4, 4, 4096)]
-    assert _panels([7, 7, 5, 7]) == [(0, 2, 7), (2, 1, 5), (3, 1, 7)]
-
-
 @pytest.mark.parametrize("prefetch", [False, True])
 def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
     """The panel reader gives every block's needed rows, panel after panel,
