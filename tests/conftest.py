@@ -16,6 +16,20 @@ import tvdist as tv
 BERNOULLI_P = [[0.7, 0.3], [0.7, 0.3]]
 BERNOULLI_Q = [[0.4, 0.6], [0.4, 0.6]]
 
+#: name -> (P rows, Q rows): one coordinate whose Q/P ratio is far from 1,
+#: with ordinary coordinates (one of them identical) around it. At
+#: Q/P = 2e-17, (Q - P)/P rounds to -1; at P = 5e-324 it overflows.
+FAR_RATIO_PAIRS = {
+    "tiny_q_ratio": (
+        [[0.6, 0.4], [0.5, 0.5], [0.3, 0.7], [0.25, 0.75]],
+        [[0.55, 0.45], [1 - 1e-17, 1e-17], [0.35, 0.65], [0.25, 0.75]],
+    ),
+    "subnormal_p": (
+        [[0.6, 0.4], [5e-324, 1 - 5e-324], [0.3, 0.7], [0.25, 0.75]],
+        [[0.55, 0.45], [0.5, 0.5], [0.35, 0.65], [0.25, 0.75]],
+    ),
+}
+
 
 @pytest.fixture(scope="session")
 def bernoulli_pair() -> tuple[tv.ProductDistribution, tv.ProductDistribution]:

@@ -16,6 +16,8 @@ import pytest
 
 import tvdist as tv
 
+from conftest import FAR_RATIO_PAIRS
+
 SAMPLES = 9000  # two full blocks and a short one
 #: Short blocks of 1, 2 and 3 draws mod 4: skipping a d_i = 0 coordinate
 #: then starts and ends inside one 4-output Philox counter step.
@@ -153,6 +155,17 @@ NAIVE_PINS = {
 #: (name, samples, seed, naive estimate.hex()) at an unaligned count
 UNALIGNED_NAIVE_PIN = ("interleaved_identical", 5099, 43, "0x1.3d9ae1fe11f32p-3")
 
+#: FAR_RATIO_PAIRS name -> (seed, estimate.hex(), mean_f.hex(), naive seed,
+#: naive estimate.hex()) at SAMPLES and NAIVE_SAMPLES draws
+FAR_RATIO_PINS = {
+    "tiny_q_ratio": (
+        61, "0x1.01d3df575aa17p-1", "0x1.d5d867c3ece2ap-1", 71, "0x1.fe28240b78034p-2"
+    ),
+    "subnormal_p": (
+        62, "0x1.001789439aa46p-1", "0x1.d2aeae54b581fp-1", 72, "0x1.ffee0e3d0cc69p-2"
+    ),
+}
+
 #: name -> (seed, sha256 of the int64 selection bytes)
 BATCH_PINS = {
     "wide_binary": (
@@ -259,3 +272,19 @@ def test_panel_checked_selections_are_pinned():
     assert draws.shape == (PANEL_BATCH, p.n)
     raw = np.ascontiguousarray(draws, dtype=np.int64).tobytes()
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RATIO_PINS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_far_ratio_bits_are_pinned(name, workers):
+    p_rows, q_rows = FAR_RATIO_PAIRS[name]
+    p, q = tv.validate(p_rows), tv.validate(q_rows)
+    seed, estimate_hex, mean_hex, naive_seed, naive_hex = FAR_RATIO_PINS[name]
+    config = tv.EstimatorConfig(
+        epsilon=0.1, delta=0.05, seed=seed, samples_override=SAMPLES, workers=workers
+    )
+    result = tv.estimate_tv(p, q, config)
+    assert result.estimate.hex() == estimate_hex
+    assert result.mean_f.hex() == mean_hex
+    naive = tv.naive_estimate_tv(p, q, NAIVE_SAMPLES, naive_seed)
+    assert naive.estimate.hex() == naive_hex
