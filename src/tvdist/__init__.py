@@ -6,25 +6,13 @@ exhaustive-enumeration oracle and a plain Monte Carlo baseline for
 verification.
 """
 
-from .coupling import (
-    GreedyCouplingStats,
-    PrefixRatio,
-    UNIT_PREFIX,
-    build_stats,
-    conditional_weights,
-    extend_prefix,
-    sample_pi,
-    sample_pi_batch,
-    step_normalizer,
-)
+from .coupling import GreedyCouplingStats, build_stats, sample_pi_batch
 from .distributions import (
     Assignment,
     CategoricalMarginal,
     ProductDistribution,
     are_identical,
     coordinate_tv,
-    log_point_mass,
-    point_mass,
     validate,
 )
 from .errors import (
@@ -83,15 +71,12 @@ __all__ = [
     "InvalidParameter",
     "MarginalNotNormalized",
     "NegativeProbability",
-    "PrefixRatio",
     "ProductDistribution",
     "TvdistError",
-    "UNIT_PREFIX",
     "ValidationError",
     "ZeroDenominator",
     "are_identical",
     "build_stats",
-    "conditional_weights",
     "coordinate_tv",
     "estimate_tv",
     "estimator_f",
@@ -99,15 +84,10 @@ __all__ = [
     "exact_pi",
     "exact_sum_positive_part",
     "exact_tv",
-    "extend_prefix",
-    "log_point_mass",
     "naive_estimate_tv",
-    "point_mass",
     "random_instance_pair",
     "random_instances",
     "sample_count",
-    "sample_pi",
     "sample_pi_batch",
-    "step_normalizer",
     "validate",
 ]

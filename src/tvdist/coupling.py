@@ -50,16 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .distributions import (
-    Assignment,
-    CategoricalMarginal,
-    ProductDistribution,
-    coordinate_tv,
-    require_same_shape,
-)
+from .distributions import ProductDistribution, coordinate_tv, require_same_shape
 from .errors import (
     DegenerateConditional,
-    DomainMismatch,
     EstimatorOutOfRange,
     IdenticalDistributions,
     InvalidParameter,
@@ -308,58 +301,6 @@ def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplin
     )
 
 
-@dataclass(frozen=True)
-class PrefixRatio:
-    """Running product of ``min(P_i, Q_i)/P_i`` ratios along a sampled prefix.
-
-    Held as the log sum of the nonzero factors plus an explicit zero flag;
-    a ratio of zero (Q puts no mass where P does) sets the flag rather than
-    producing a log sentinel.
-    """
-
-    is_zero: bool = False
-    log: float = 0.0
-
-    @classmethod
-    def from_value(cls, a: float) -> "PrefixRatio":
-        if not 0.0 <= a <= 1.0:
-            raise InvalidParameter(f"prefix ratio must be in [0, 1], got {a!r}")
-        if a == 0.0:
-            return cls(is_zero=True)
-        return cls(log=math.log(a))
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.is_zero else math.exp(self.log)
-
-
-UNIT_PREFIX = PrefixRatio()
-
-
-def _log_ratio(p_c: float, q_c: float) -> tuple[bool, float]:
-    """Zero flag and log of ``min(p_c, q_c)/p_c`` (defined as 1 when p_c = 0)."""
-    if p_c == 0.0 or q_c >= p_c:
-        return False, 0.0
-    if q_c == 0.0:
-        return True, 0.0
-    return False, math.log1p((q_c - p_c) / p_c)
-
-
-def extend_prefix(
-    a_prev: PrefixRatio,
-    p_k: CategoricalMarginal,
-    q_k: CategoricalMarginal,
-    category: int,
-) -> PrefixRatio:
-    """Prefix ratio after fixing coordinate ``k`` to ``category`` (1-based)."""
-    if not 1 <= category <= p_k.domain_size:
-        raise InvalidParameter(f"category {category} outside 1..{p_k.domain_size}")
-    zero, log = _log_ratio(p_k.probs[category - 1], q_k.probs[category - 1])
-    if a_prev.is_zero or zero:
-        return PrefixRatio(is_zero=True, log=a_prev.log)
-    return PrefixRatio(log=a_prev.log + log)
-
-
 class _PairTables:
     """Per-category lookup tables shared by the sampling and estimate kernels.
 
@@ -371,7 +312,9 @@ class _PairTables:
         (set where ``Q = 0 < P``; a category with ``P = 0`` is never drawn).
     ``q_zero_in[k]`` tells whether coordinate ``k`` has a flagged category.
     Both ratios are built from ``log1p((Q - P)/P)`` so near-identical
-    marginals keep full relative accuracy. A zero ``min(P, Q)/P`` ratio is
+    marginals keep full relative accuracy, except where ``(Q - P)/P``
+    rounds to -1 or overflows (Q/P below about 2^-54, or a subnormal P):
+    there ``log Q - log P`` keeps the ratio. A zero ``min(P, Q)/P`` ratio is
     stored as a log of ``-inf``, which is its zero flag: every ``log_r`` and
     suffix log is at most 0, so a sum with a zero factor stays ``-inf``, and
     ``-expm1(-inf)`` is exactly the 1 that ``1 - 0`` gives. ``Q/P`` needs
@@ -386,12 +329,15 @@ class _PairTables:
         pos = pv > 0.0
         q_zero = qv == 0.0
         live = pos & ~q_zero
-        rel = (qv - pv) / np.where(pos, pv, 1.0)
+        with np.errstate(over="ignore"):
+            rel = (qv - pv) / np.where(pos, pv, 1.0)
+        far = live & ~((rel > -1.0) & (rel < np.inf))
         self.p = pv
-        self.log_r = np.log1p(np.where(live, np.minimum(rel, 0.0), 0.0))
+        self.log_qp = np.log1p(np.where(live & ~far, rel, 0.0))
+        self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
+        self.log_r = np.minimum(self.log_qp, 0.0)
         self.q_zero = pos & q_zero
         self.log_r[self.q_zero] = -np.inf
-        self.log_qp = np.log1p(np.where(live, rel, 0.0))
         self.bounds = [0, *np.cumsum(p.domain_sizes).tolist()]
         self.q_zero_in = np.logical_or.reduceat(self.q_zero, self.bounds[:-1]).tolist()
         self.max_q = max(p.domain_sizes)
@@ -471,6 +417,83 @@ def _kernel_workspace(
     return _Workspace(width, floats=5 + tables.max_q, flags=2, picks=picks)
 
 
+def _step_weights(
+    tables: _PairTables,
+    k: int,
+    log_a: np.ndarray,
+    log_b: float,
+    cum: np.ndarray,
+    exponent: np.ndarray,
+    shared: np.ndarray,
+) -> None:
+    """Cumulative conditional weights of coordinate ``k`` (0-based), per draw.
+
+    Row ``c`` of ``cum`` receives ``w_k(0) + ... + w_k(c)``, with
+    ``w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k)`` accumulated in
+    category order; ``log_a`` holds log A_{k-1} per draw (``-inf`` for a
+    zero prefix) and ``log_b`` is log B_k (``-inf`` for a zero suffix).
+    Categories with ``Q >= P`` (a ``min(P, Q)/P`` ratio of exactly 1) share
+    one disagreement row, computed once into ``shared``; ``exponent`` is
+    scratch space.
+    """
+    lo, hi = tables.bounds[k], tables.bounds[k + 1]
+    # expm1(x) * -P equals P * -expm1(x) bit for bit
+    have_shared = False
+    categories = zip(tables.p[lo:hi].tolist(), tables.log_r[lo:hi].tolist())
+    for c, (p_c, log_r) in enumerate(categories):
+        row = cum[c]
+        if log_r == 0.0:
+            if not have_shared:
+                np.add(log_a, log_b, out=shared)
+                np.expm1(shared, out=shared)
+                have_shared = True
+            em = shared
+        else:
+            np.add(log_a, log_r, out=exponent)
+            np.add(exponent, log_b, out=exponent)
+            np.expm1(exponent, out=exponent)
+            em = exponent
+        np.multiply(em, -p_c, out=row)
+        if c:
+            np.add(cum[c - 1], row, out=row)
+
+
+def _f_stage(
+    log_a: np.ndarray,
+    t_qp: np.ndarray,
+    qp_any: np.ndarray,
+    flag: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Per-draw estimate ``f`` from the log products of each draw's ratios.
+
+    ``log_a`` holds log prod min(P, Q)/P (``-inf`` for a zero factor),
+    ``t_qp`` log prod Q/P over the nonzero Q/P factors, and ``qp_any``
+    whether a Q/P factor is 0. ``f = (1 - prod Q/P) / (1 - prod min(P, Q)/P)``
+    where the numerator is positive, else 0, is written to ``out`` and
+    returned; ``log_a``, ``t_qp``, ``qp_any`` and ``flag`` are overwritten.
+    Raises :class:`ZeroDenominator` for an outcome with a positive numerator
+    and no disagreement mass (one that is never drawn), and
+    :class:`EstimatorOutOfRange` for a value above 1 by more than
+    :data:`F_RANGE_TOL`; smaller excursions are clamped.
+    """
+    # in place: numer = 1 where a Q/P factor is 0, else -expm1(t_qp), which
+    # is -inf (so f = 0) where the Q/P product overflows
+    with np.errstate(over="ignore"):
+        numer = np.negative(np.expm1(t_qp, out=t_qp), out=t_qp)
+    np.copyto(numer, 1.0, where=qp_any)
+    denom = np.negative(np.expm1(log_a, out=log_a), out=log_a)
+    live = np.greater(numer, 0.0, out=flag)
+    if not np.all(np.greater(denom, 0.0, out=qp_any), where=live):
+        raise ZeroDenominator("an outcome's disagreement mass is zero")
+    out.fill(0.0)
+    np.divide(numer, denom, out=out, where=live)
+    excess = float(out.max(initial=0.0)) - 1.0
+    if excess > F_RANGE_TOL:
+        raise EstimatorOutOfRange(f"estimate exceeded 1 by {excess:g}")
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def _sample_block(
     tables: _PairTables,
     stats: GreedyCouplingStats,
@@ -494,10 +517,10 @@ def _sample_block(
     ``work`` (see :func:`_kernel_workspace`) and are overwritten by the
     next call. ``steps`` lists the 0-based coordinates to step, ascending,
     and ``rows`` yields one ``shape`` array of uniforms for each, which the
-    step overwrites. Cumulative weights are laid out one row per category,
-    and categories with ``Q >= P`` (a ``min(P, Q)/P`` ratio of exactly 1)
-    share one disagreement row; a binary coordinate costs two weight rows
-    and one comparison.
+    step overwrites. A step fills the cumulative weights
+    (:func:`_step_weights`), one row per category, and selects; a binary
+    coordinate costs two weight rows and one comparison. :func:`_f_stage`
+    turns the accumulated log ratios into ``f``.
 
     Assignments and invariant checks need every coordinate stepped. When
     only ``f`` is requested, coordinates with ``d_k = 0`` may be left out:
@@ -521,31 +544,7 @@ def _sample_block(
 
     for k, uniform in zip(steps, rows):
         lo, hi = tables.bounds[k], tables.bounds[k + 1]
-        log_r_k = tables.log_r[lo:hi]
-        s = suffix[k + 1]
-        # w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k), accumulated in
-        # category order; expm1(x) * -P equals P * -expm1(x) bit for bit
-        have_shared = False
-        categories = zip(tables.p[lo:hi].tolist(), log_r_k.tolist())
-        for c, (p_c, log_r) in enumerate(categories):
-            row = cum[c]
-            if log_r == 0.0:
-                if not have_shared:
-                    np.add(log_a, s, out=shared)
-                    np.expm1(shared, out=shared)
-                    have_shared = True
-                em = shared
-            else:
-                np.add(log_a, log_r, out=exponent)
-                np.add(exponent, s, out=exponent)
-                np.expm1(exponent, out=exponent)
-                em = exponent
-            if c:
-                np.multiply(em, -p_c, out=scratch)
-                np.add(cum[c - 1], scratch, out=row)
-            else:
-                np.multiply(em, -p_c, out=row)
-
+        _step_weights(tables, k, log_a, suffix[k + 1], cum, exponent, shared)
         q_k = hi - lo
         total = cum[q_k - 1]
         total_low = float(total.min())
@@ -564,6 +563,7 @@ def _sample_block(
         threshold = np.multiply(uniform, total, out=uniform)
         picked = selections[k] if want_assignments else chosen
         _select(cum[:q_k], threshold, total_low, picked, flag)
+        log_r_k = tables.log_r[lo:hi]
         np.add(log_a, log_r_k.take(picked, out=scratch, mode="clip"), out=log_a)
         if want_f:
             log_qp_k = tables.log_qp[lo:hi]
@@ -572,94 +572,8 @@ def _sample_block(
                 q_zero_k = tables.q_zero[lo:hi].take(picked, out=flag, mode="clip")
                 np.logical_or(qp_any, q_zero_k, out=qp_any)
 
-    f = None
-    if want_f:
-        # in place: numer = 1 where a Q/P factor is 0, else -expm1(t_qp);
-        # denom = -expm1(log_a); f is written over the spent exponent row
-        numer = np.negative(np.expm1(t_qp, out=t_qp), out=t_qp)
-        np.copyto(numer, 1.0, where=qp_any)
-        denom = np.negative(np.expm1(log_a, out=log_a), out=log_a)
-        live = np.greater(numer, 0.0, out=flag)
-        if not np.all(np.greater(denom, 0.0, out=qp_any), where=live):
-            raise ZeroDenominator("drew an outcome whose disagreement mass is zero")
-        f = exponent
-        f.fill(0.0)
-        np.divide(numer, denom, out=f, where=live)
-        excess = float(f.max(initial=0.0)) - 1.0
-        if excess > F_RANGE_TOL:
-            raise EstimatorOutOfRange(f"estimate exceeded 1 by {excess:g}")
-        np.clip(f, 0.0, 1.0, out=f)
+    f = _f_stage(log_a, t_qp, qp_any, flag, exponent) if want_f else None
     return selections, f
-
-
-def step_normalizer(
-    k: int, a_prev: PrefixRatio | float, stats: GreedyCouplingStats
-) -> float:
-    """Total conditional weight ``1 - A_{k-1} * B_{k-1}`` at step ``k`` (1-based).
-
-    Raises :class:`DegenerateConditional` when the value is not positive,
-    which can only happen on a prefix the conditional law never reaches.
-    """
-    if not 1 <= k <= stats.n:
-        raise InvalidParameter(f"step {k} outside 1..{stats.n}")
-    a = a_prev if isinstance(a_prev, PrefixRatio) else PrefixRatio.from_value(a_prev)
-    if a.is_zero or stats.suffix_zero[k - 1]:
-        return 1.0
-    normalizer = -math.expm1(a.log + stats.suffix_log[k - 1])
-    if normalizer <= 0.0:
-        raise DegenerateConditional(
-            f"step {k}: normalizer {normalizer!r} is not positive "
-            "(prefix carries no conditional mass)"
-        )
-    return normalizer
-
-
-def conditional_weights(
-    k: int,
-    a_prev: PrefixRatio | float,
-    stats: GreedyCouplingStats,
-    p_k: CategoricalMarginal,
-    q_k: CategoricalMarginal,
-) -> np.ndarray:
-    """Unnormalized conditional weights over the categories of coordinate ``k``.
-
-    Entry ``c - 1`` holds ``w_k(c) = P_k(c) * (1 - A_{k-1} r_k(c) B_k)``;
-    the weights sum to :func:`step_normalizer`. Categories with
-    ``P_k(c) = 0`` get weight 0 and are never sampled.
-    """
-    if p_k.domain_size != q_k.domain_size:
-        raise DomainMismatch(
-            f"coordinate {k}: domain sizes differ "
-            f"({p_k.domain_size} vs {q_k.domain_size})",
-            coordinate=k,
-        )
-    a = a_prev if isinstance(a_prev, PrefixRatio) else PrefixRatio.from_value(a_prev)
-    step_normalizer(k, a, stats)
-    weights = np.empty(p_k.domain_size)
-    for idx, (pc, qc) in enumerate(zip(p_k.probs, q_k.probs)):
-        zero, log = _log_ratio(pc, qc)
-        if a.is_zero or zero or stats.suffix_zero[k]:
-            disagree = 1.0
-        else:
-            disagree = -math.expm1(a.log + log + stats.suffix_log[k])
-        weights[idx] = pc * disagree
-    return weights
-
-
-def sample_pi(
-    p: ProductDistribution,
-    q: ProductDistribution,
-    stats: GreedyCouplingStats,
-    seed: int,
-) -> Assignment:
-    """Draw one outcome distributed as ``Pr[X = . | X != Y]``.
-
-    Deterministic given ``(p, q, seed)``; runs in time linear in the total
-    number of categories using the precomputed suffix products and a
-    running prefix ratio.
-    """
-    batch = sample_pi_batch(p, q, stats, seed, 1)
-    return Assignment(tuple(int(v) for v in batch[0]))
 
 
 def sample_pi_batch(

@@ -6,9 +6,7 @@ sizes may differ. Categories are 1-based throughout the public API.
 
 Construct distributions through :func:`validate`, which checks
 non-negativity and normalization. Stored probability vectors are kept
-exactly as given (no silent renormalization); products over many
-coordinates are available in log space with an explicit zero flag so they
-never underflow silently.
+exactly as given (no silent renormalization).
 """
 
 from __future__ import annotations
@@ -16,6 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DomainMismatch,
@@ -141,44 +141,26 @@ def require_same_shape(p: ProductDistribution, q: ProductDistribution) -> None:
             )
 
 
-def check_assignment(dist: ProductDistribution, omega: Assignment) -> None:
-    """Raise :class:`IndexOutOfRange` unless ``omega`` is valid for ``dist``."""
-    if len(omega) != dist.n:
-        raise DomainMismatch(
-            f"assignment has {len(omega)} coordinates, distribution has {dist.n}"
-        )
-    for i, (value, marginal) in enumerate(zip(omega.values, dist.marginals), start=1):
-        if not 1 <= value <= marginal.domain_size:
-            raise IndexOutOfRange(i, value, marginal.domain_size)
+def check_assignment(dist: ProductDistribution, assignments: np.ndarray) -> np.ndarray:
+    """Check an ``(m, n)`` array of 1-based outcomes against ``dist``.
 
-
-def point_mass(dist: ProductDistribution, omega: Assignment) -> float:
-    """Probability of one outcome: the product of its marginal probabilities."""
-    check_assignment(dist, omega)
-    out = 1.0
-    for value, marginal in zip(omega.values, dist.marginals):
-        out *= marginal.probs[value - 1]
-    return out
-
-
-def log_point_mass(dist: ProductDistribution, omega: Assignment) -> tuple[bool, float]:
-    """Log-space point mass with an explicit zero flag.
-
-    Returns ``(is_zero, log_sum)`` where ``log_sum`` adds the logs of the
-    nonzero factors. A zero factor sets the flag instead of producing a log
-    sentinel; when the flag is set the mass is exactly 0 and ``log_sum``
-    covers only the nonzero factors.
+    Returns the array as ``intp``. Raises :class:`DomainMismatch` unless it
+    is an integer array with one column per coordinate, and
+    :class:`IndexOutOfRange` naming the first coordinate with an entry
+    outside its categories.
     """
-    check_assignment(dist, omega)
-    is_zero = False
-    log_sum = 0.0
-    for value, marginal in zip(omega.values, dist.marginals):
-        prob = marginal.probs[value - 1]
-        if prob == 0.0:
-            is_zero = True
-        else:
-            log_sum += math.log(prob)
-    return is_zero, log_sum
+    values = np.asarray(assignments)
+    if values.ndim != 2 or values.shape[1] != dist.n or values.dtype.kind not in "iu":
+        raise DomainMismatch(
+            f"assignments must be an integer (m, {dist.n}) array, "
+            f"got {values.dtype} of shape {values.shape}"
+        )
+    sizes = np.array(dist.domain_sizes)
+    bad = (values < 1) | (values > sizes)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise IndexOutOfRange(i + 1, int(values[np.argmax(bad[:, i]), i]), int(sizes[i]))
+    return values.astype(np.intp, copy=False)
 
 
 def coordinate_tv(p_i: CategoricalMarginal, q_i: CategoricalMarginal) -> float:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import (
-    F_RANGE_TOL,
-    GreedyCouplingStats,
+    _f_stage,
     _kernel_workspace,
     _PairTables,
     _panel_rows,
@@ -44,13 +43,12 @@ from .coupling import (
     check_seed,
 )
 from .distributions import (
-    Assignment,
     ProductDistribution,
     check_assignment,
     coordinate_tv,
     require_same_shape,
 )
-from .errors import EstimatorOutOfRange, InvalidParameter, ZeroDenominator
+from .errors import InvalidParameter, ZeroDenominator
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -120,61 +118,39 @@ def sample_count(n: int, epsilon: float, delta: float) -> int:
 
 
 def estimator_f(
-    p: ProductDistribution, q: ProductDistribution, omega: Assignment
-) -> float:
-    """Per-sample estimate for one outcome with positive conditional mass.
+    p: ProductDistribution, q: ProductDistribution, assignments: np.ndarray
+) -> np.ndarray:
+    """Per-sample estimate ``f`` of each row of an ``(m, n)`` outcome array.
 
-    Computed in log space: the numerator ``1 - prod Q_i/P_i`` and the
-    denominator ``1 - prod min(P_i, Q_i)/P_i`` each become ``-expm1`` of a
-    ``log1p`` sum, with zero factors carried as flags. Returns 0 as soon as
-    the numerator is non-positive. Values outside ``[-1e-12, 1 + 1e-12]``
-    raise; smaller excursions are clamped into [0, 1].
+    Rows hold 1-based categories, as :func:`~tvdist.coupling.sample_pi_batch`
+    returns them; the result is an ``(m,)`` array in [0, 1]. The ratios are
+    gathered from the sampling kernel's tables in coordinate order and
+    passed through its f stage, so each value has the bits the kernel gives
+    the same outcome in :func:`estimate_tv`.
 
     Raises:
-        ZeroDenominator: the outcome has no disagreement mass under the
-            coupling (so it could never have been drawn) -- caller misuse.
-        EstimatorOutOfRange: the computed value left [0, 1] by more than
-            the rounding guard, which indicates a bug.
+        DomainMismatch, IndexOutOfRange: the array does not fit ``p``.
+        ZeroDenominator: an outcome lies outside the support of P, or has no
+            disagreement mass under the coupling (so it is never drawn).
+        EstimatorOutOfRange: a value left [0, 1] by more than the rounding
+            guard, which indicates a bug.
     """
     require_same_shape(p, q)
-    check_assignment(p, omega)
-    log_qp = 0.0
-    q_zero = False
-    log_r = 0.0
-    r_zero = False
-    for i, (value, pm, qm) in enumerate(
-        zip(omega.values, p.marginals, q.marginals), start=1
-    ):
-        pc = pm.probs[value - 1]
-        qc = qm.probs[value - 1]
-        if pc == 0.0:
-            raise ZeroDenominator(
-                f"coordinate {i}: outcome lies outside the support of P"
-            )
-        if qc == 0.0:
-            q_zero = True
-            r_zero = True
-            continue
-        rel = (qc - pc) / pc
-        term = math.log1p(rel)
-        log_qp += term
-        if qc < pc:
-            log_r += term
-    numerator = 1.0 if q_zero else -math.expm1(log_qp)
-    if numerator <= 0.0:
-        return 0.0
-    if r_zero:
-        denominator = 1.0
-    else:
-        if log_r == 0.0:
-            raise ZeroDenominator(
-                "outcome has zero disagreement mass under the coupling"
-            )
-        denominator = -math.expm1(log_r)
-    f = numerator / denominator
-    if f < -F_RANGE_TOL or f > 1.0 + F_RANGE_TOL:
-        raise EstimatorOutOfRange(f"estimate {f!r} is outside [0, 1]")
-    return min(max(f, 0.0), 1.0)
+    values = check_assignment(p, assignments)
+    tables = _PairTables(p, q)
+    # flat table index of each outcome's category, one row per coordinate
+    picked = (values - 1 + np.array(tables.bounds[:-1])).T
+    outside = tables.p[picked] == 0.0
+    if outside.any():
+        i = int(np.argmax(outside.any(axis=1))) + 1
+        raise ZeroDenominator(f"coordinate {i}: outcome lies outside the support of P")
+    m = len(values)
+    log_a, t_qp, qp_any = np.zeros(m), np.zeros(m), np.zeros(m, dtype=bool)
+    for row in picked:
+        np.add(log_a, tables.log_r[row], out=log_a)
+        np.add(t_qp, tables.log_qp[row], out=t_qp)
+        np.logical_or(qp_any, tables.q_zero[row], out=qp_any)
+    return _f_stage(log_a, t_qp, qp_any, np.empty(m, dtype=bool), np.empty(m))
 
 
 def estimate_tv(

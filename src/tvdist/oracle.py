@@ -183,24 +183,25 @@ def exact_expectation_f(
 ) -> float:
     """Mean of the per-sample estimate under the exact conditional law.
 
-    Sums ``pi(omega) * f(omega)`` over the exact support, with ``f`` from
-    :mod:`tvdist.estimator`; equals ``exact_tv / pr_diff`` up to the float
+    Sums ``pi(omega) * f(omega)`` over the exact support in rational
+    arithmetic, with every ``f(omega)`` from one
+    :func:`~tvdist.estimator.estimator_f` call, which runs the sampling
+    kernel's own f stage. Equals ``exact_tv / pr_diff`` up to the float
     rounding inside ``f``.
     """
     require_same_shape(p, q)
     _check_budget(p, budget)
-    total = Fraction(0)
-    weighted = Fraction(0)
-    for digits, gap in _disagreement_states(p, q):
-        if gap > 0:
-            omega = Assignment(tuple(c + 1 for c in digits))
-            total += gap
-            weighted += gap * Fraction(estimator_f(p, q, omega))
-    if total == 0:
+    support = [(digits, gap) for digits, gap in _disagreement_states(p, q) if gap > 0]
+    if not support:
         raise IdenticalDistributions(
             "no disagreement mass: the inputs differ by less than their "
             "normalization slack"
         )
+    f = estimator_f(p, q, np.array([digits for digits, _ in support]) + 1)
+    total = weighted = Fraction(0)
+    for (_, gap), value in zip(support, f.tolist()):
+        total += gap
+        weighted += gap * Fraction(value)
     return float(weighted / total)
 
 

@@ -167,7 +167,7 @@ def test_criterion_5_estimate_range_on_full_support(instance_suite):
                 continue
             checked += 1
             try:
-                value = tv.estimator_f(row["p"], row["q"], omega)
+                (value,) = tv.estimator_f(row["p"], row["q"], np.array([omega.values]))
             except tv.EstimatorOutOfRange:
                 range_errors += 1
                 continue

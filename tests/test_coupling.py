@@ -71,62 +71,81 @@ def test_pr_diff_accurate_for_tiny_distances():
 # --- conditional weights ----------------------------------------------------
 
 
+def _kernel_weights(p, q, k, log_a):
+    """Conditional weights of coordinate ``k`` (0-based) from the kernel's
+    weight fill, one column per prefix log ratio in ``log_a``, and their
+    totals."""
+    from tvdist.coupling import _PairTables, _step_weights
+
+    stats = tv.build_stats(p, q)
+    log_b = -math.inf if stats.suffix_zero[k + 1] else stats.suffix_log[k + 1]
+    log_a = np.asarray(log_a, dtype=float)
+    cum = np.empty((p.domain_sizes[k], log_a.size))
+    scratch = np.empty((2, log_a.size))
+    _step_weights(_PairTables(p, q), k, log_a, log_b, cum, *scratch)
+    return np.diff(cum, axis=0, prepend=0.0), cum[-1]
+
+
 def test_conditional_weights_hand_values(bernoulli_pair):
     p, q = bernoulli_pair
     stats = tv.build_stats(p, q)
-    weights = tv.conditional_weights(1, 1.0, stats, p.marginals[0], q.marginals[0])
-    assert weights == pytest.approx([0.42, 0.09], rel=1e-12)
-    assert tv.step_normalizer(1, 1.0, stats) == pytest.approx(0.51, rel=1e-12)
-    assert math.fsum(weights) == pytest.approx(
-        tv.step_normalizer(1, 1.0, stats), abs=1e-12
-    )
+    weights, total = _kernel_weights(p, q, 0, [0.0])
+    assert weights[:, 0] == pytest.approx([0.42, 0.09], rel=1e-12)
+    assert total[0] == pytest.approx(0.51, rel=1e-12)
+    assert total[0] == pytest.approx(-math.expm1(stats.suffix_log[0]), abs=1e-12)
 
 
 def test_conditional_weights_zero_prefix_reduces_to_p(bernoulli_pair):
     p, q = bernoulli_pair
-    stats = tv.build_stats(p, q)
-    weights = tv.conditional_weights(2, 0.0, stats, p.marginals[1], q.marginals[1])
-    assert weights == pytest.approx(p.marginals[1].probs)
+    weights, _ = _kernel_weights(p, q, 1, [-math.inf])
+    assert weights[:, 0] == pytest.approx(p.marginals[1].probs)
 
 
 def test_conditional_weights_zero_probability_category():
     p = tv.validate([[0.0, 1.0], [0.5, 0.5]])
     q = tv.validate([[0.5, 0.5], [0.4, 0.6]])
-    stats = tv.build_stats(p, q)
-    weights = tv.conditional_weights(1, 1.0, stats, p.marginals[0], q.marginals[0])
-    assert weights[0] == 0.0
+    weights, _ = _kernel_weights(p, q, 0, [0.0])
+    assert weights[0, 0] == 0.0
 
 
 def test_step_normalizer_degenerate_on_identical():
+    """The kernel rejects a step whose weights sum to 0."""
+    from tvdist.coupling import _kernel_workspace, _PairTables, _sample_block
+
     p = tv.validate([[0.5, 0.5]])
     stats = tv.build_stats(p, p)
+    tables = _PairTables(p, p)
+    work = _kernel_workspace(tables, stats, 4, want_assignments=False)
     with pytest.raises(DegenerateConditional):
-        tv.step_normalizer(1, 1.0, stats)
+        _sample_block(
+            tables,
+            stats,
+            [0],
+            iter([np.full((1, 4), 0.5)]),
+            (1, 4),
+            work=work,
+            want_assignments=False,
+            want_f=True,
+            check_invariants=False,
+        )
 
 
-def test_prefix_ratio_round_trip():
-    a = tv.PrefixRatio.from_value(0.25)
-    assert a.value == pytest.approx(0.25, rel=1e-15)
-    assert tv.PrefixRatio.from_value(0.0).is_zero
-    assert tv.UNIT_PREFIX.value == 1.0
-    with pytest.raises(InvalidParameter):
-        tv.PrefixRatio.from_value(1.5)
+def _chain_probabilities(p, q, states):
+    """Multiply the kernel's normalized weights along each full path of the
+    ``(S, n)`` array of 1-based ``states``, with each step's prefix log
+    ratio gathered from the kernel's tables."""
+    from tvdist.coupling import _PairTables
 
-
-def _chain_probability(p, q, stats, state):
-    """Multiply the normalized conditionals along one full path."""
-    prefix = tv.UNIT_PREFIX
-    probability = 1.0
-    for k, category in enumerate(state, start=1):
-        p_k = p.marginals[k - 1]
-        q_k = q.marginals[k - 1]
-        try:
-            normalizer = tv.step_normalizer(k, prefix, stats)
-        except DegenerateConditional:
-            return 0.0
-        weights = tv.conditional_weights(k, prefix, stats, p_k, q_k)
-        probability *= weights[category - 1] / normalizer
-        prefix = tv.extend_prefix(prefix, p_k, q_k, category)
+    tables = _PairTables(p, q)
+    count = len(states)
+    log_a = np.zeros(count)
+    probability = np.ones(count)
+    for k, column in enumerate(states.T - 1):
+        weights, total = _kernel_weights(p, q, k, log_a)
+        chosen = weights[column, np.arange(count)]
+        # a prefix with no conditional mass (total 0) is never reached
+        probability *= np.divide(chosen, total, out=np.zeros(count), where=total > 0.0)
+        log_a = log_a + tables.log_r[tables.bounds[k] + column]
     return probability
 
 
@@ -134,12 +153,12 @@ def test_chain_consistency_with_exact_law():
     for seed in (7, 8, 9):
         rng = np.random.default_rng(seed)
         p, q = tv.random_instance_pair(rng, max_n=4, max_q=4)
-        stats = tv.build_stats(p, q)
         table = tv.exact_pi(p, q)
-        for state in all_states(p.domain_sizes):
-            chained = _chain_probability(p, q, stats, state)
-            assert chained == pytest.approx(
-                table[tv.Assignment(state)], abs=1e-10
+        states = np.array(list(all_states(p.domain_sizes)))
+        chained = _chain_probabilities(p, q, states)
+        for state, probability in zip(states, chained):
+            assert probability == pytest.approx(
+                table[tv.Assignment(tuple(state))], abs=1e-10
             )
 
 
@@ -151,7 +170,7 @@ def test_sample_pi_identical_distributions_raises():
     stats = tv.build_stats(p, p)
     assert stats.pr_diff == 0.0
     with pytest.raises(IdenticalDistributions):
-        tv.sample_pi(p, p, stats, 1)
+        tv.sample_pi_batch(p, p, stats, 1, 1)
     with pytest.raises(IdenticalDistributions):
         tv.sample_pi_batch(p, p, stats, 1, 10)
 
@@ -161,17 +180,17 @@ def test_sample_pi_deterministic_point():
     q = tv.validate([[0.0, 1.0]])
     stats = tv.build_stats(p, q)
     for seed in range(5):
-        assert tv.sample_pi(p, q, stats, seed) == tv.Assignment((1,))
+        assert tv.sample_pi_batch(p, q, stats, seed, 1).tolist() == [[1]]
 
 
 def test_sample_pi_seed_determinism(bernoulli_pair):
     p, q = bernoulli_pair
     stats = tv.build_stats(p, q)
-    a = tv.sample_pi(p, q, stats, 123)
-    b = tv.sample_pi(p, q, stats, 123)
-    c = tv.sample_pi(p, q, stats, 124)
-    assert a == b
-    assert isinstance(c, tv.Assignment)
+    a = tv.sample_pi_batch(p, q, stats, 123, 1)
+    b = tv.sample_pi_batch(p, q, stats, 123, 1)
+    c = tv.sample_pi_batch(p, q, stats, 124, 1)
+    assert np.array_equal(a, b)
+    assert c.shape == (1, 2) and np.all((c >= 1) & (c <= 2))
 
 
 def test_sample_pi_batch_block_prefix_stability(bernoulli_pair):

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,13 +5,12 @@ import tvdist as tv
 from tvdist.errors import (
     DomainMismatch,
     EmptyInput,
-    IndexOutOfRange,
     InstanceFormatError,
     MarginalNotNormalized,
     NegativeProbability,
 )
 
-from conftest import all_states, brute_subset_gap
+from conftest import brute_subset_gap
 
 
 # --- validation -------------------------------------------------------------
@@ -85,62 +82,6 @@ def test_validate_stores_vectors_exactly():
 def test_validate_accepts_tolerance_slack():
     dist = tv.validate([[0.5, 0.5 + 5e-10]])
     assert dist.marginals[0].probs[1] == 0.5 + 5e-10
-
-
-# --- point mass -------------------------------------------------------------
-
-
-def test_point_mass_product():
-    dist = tv.validate([[0.7, 0.3], [0.4, 0.6]])
-    assert tv.point_mass(dist, tv.Assignment((1, 2))) == pytest.approx(0.42)
-
-
-def test_point_mass_zero_factor():
-    dist = tv.validate([[1.0, 0.0], [0.5, 0.5]])
-    assert tv.point_mass(dist, tv.Assignment((2, 1))) == 0.0
-
-
-def test_point_mass_square():
-    dist = tv.validate([[0.7, 0.3], [0.7, 0.3]])
-    assert tv.point_mass(dist, tv.Assignment((1, 1))) == pytest.approx(0.49)
-
-
-def test_point_mass_out_of_range():
-    dist = tv.validate([[0.5, 0.5]])
-    with pytest.raises(IndexOutOfRange) as info:
-        tv.point_mass(dist, tv.Assignment((3,)))
-    assert info.value.coordinate == 1
-    with pytest.raises(IndexOutOfRange):
-        tv.point_mass(dist, tv.Assignment((0,)))
-
-
-def test_point_mass_wrong_length():
-    dist = tv.validate([[0.5, 0.5]])
-    with pytest.raises(DomainMismatch):
-        tv.point_mass(dist, tv.Assignment((1, 1)))
-
-
-def test_log_point_mass_matches_linear():
-    dist = tv.validate([[0.7, 0.3], [0.4, 0.6]])
-    is_zero, log_sum = tv.log_point_mass(dist, tv.Assignment((1, 2)))
-    assert not is_zero
-    assert math.exp(log_sum) == pytest.approx(0.42, rel=1e-15)
-
-
-def test_log_point_mass_zero_flag():
-    dist = tv.validate([[1.0, 0.0], [0.5, 0.5]])
-    is_zero, log_sum = tv.log_point_mass(dist, tv.Assignment((2, 1)))
-    assert is_zero
-    assert log_sum == pytest.approx(math.log(0.5))
-
-
-def test_point_mass_sums_to_one():
-    dist = tv.validate([[0.7, 0.3], [0.25, 0.25, 0.5], [0.1, 0.2, 0.3, 0.4]])
-    total = math.fsum(
-        tv.point_mass(dist, tv.Assignment(state))
-        for state in all_states(dist.domain_sizes)
-    )
-    assert abs(total - 1.0) <= 1e-12
 
 
 # --- per-coordinate TV ------------------------------------------------------

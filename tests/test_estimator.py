@@ -40,55 +40,82 @@ def test_sample_count_rejects_bad_arguments():
 
 def test_estimator_f_hand_values(bernoulli_pair):
     p, q = bernoulli_pair
-    assert tv.estimator_f(p, q, tv.Assignment((1, 1))) == pytest.approx(1.0, rel=1e-12)
-    assert tv.estimator_f(p, q, tv.Assignment((2, 2))) == 0.0
+    f = tv.estimator_f(p, q, np.array([[1, 1], [2, 2]]))
+    assert f.shape == (2,)
+    assert f[0] == pytest.approx(1.0, rel=1e-12)
+    assert f[1] == 0.0
 
 
 def test_estimator_f_disjoint_coordinate():
     p = tv.validate([[0.6, 0.4], [1.0, 0.0]])
     q = tv.validate([[0.5, 0.5], [0.0, 1.0]])
     # Q vanishes on the path and min = Q at both coordinates
-    assert tv.estimator_f(p, q, tv.Assignment((1, 1))) == 1.0
+    assert tv.estimator_f(p, q, np.array([[1, 1]])).tolist() == [1.0]
 
 
 def test_estimator_f_outside_p_support():
     p = tv.validate([[1.0, 0.0]])
     q = tv.validate([[0.5, 0.5]])
     with pytest.raises(ZeroDenominator):
-        tv.estimator_f(p, q, tv.Assignment((2,)))
+        tv.estimator_f(p, q, np.array([[2]]))
 
 
 def test_estimator_f_invalid_assignment(bernoulli_pair):
     p, q = bernoulli_pair
     with pytest.raises(IndexOutOfRange):
-        tv.estimator_f(p, q, tv.Assignment((3, 1)))
+        tv.estimator_f(p, q, np.array([[3, 1]]))
+    for wrong in ([[1]], [1, 1], [[1.0, 1.0]]):
+        with pytest.raises(DomainMismatch):
+            tv.estimator_f(p, q, np.array(wrong))
+    p = tv.validate([[0.5, 0.5]])
+    q = tv.validate([[0.4, 0.6]])
+    with pytest.raises(IndexOutOfRange) as info:
+        tv.estimator_f(p, q, np.array([[1], [3]]))
+    assert info.value.coordinate == 1
+    with pytest.raises(IndexOutOfRange):
+        tv.estimator_f(p, q, np.array([[0]]))
     with pytest.raises(DomainMismatch):
-        tv.estimator_f(p, q, tv.Assignment((1,)))
+        tv.estimator_f(p, q, np.array([[1, 1]]))
 
 
 def test_estimator_f_in_range_on_support():
     for seed in (31, 32, 33):
         rng = np.random.default_rng(seed)
         p, q = tv.random_instance_pair(rng, max_n=4, max_q=4)
-        for omega, mass in tv.exact_pi(p, q).items():
-            if mass > 0.0:
-                assert 0.0 <= tv.estimator_f(p, q, omega) <= 1.0
+        support = [omega.values for omega, mass in tv.exact_pi(p, q).items() if mass > 0.0]
+        f = tv.estimator_f(p, q, np.array(support))
+        assert f.shape == (len(support),)
+        assert np.all((0.0 <= f) & (f <= 1.0))
 
 
-def test_engine_f_matches_scalar_estimator(bernoulli_pair):
-    # same seed and count => the estimate engine and sample_pi_batch draw the
-    # same outcomes, so the engine's mean must match scalar re-evaluation
-    p, q = bernoulli_pair
-    stats = tv.build_stats(p, q)
-    count = 6000
-    draws = tv.sample_pi_batch(p, q, stats, 2024, count)
-    scalar_mean = math.fsum(
-        tv.estimator_f(p, q, tv.Assignment(tuple(row))) for row in draws
-    ) / count
-    result = tv.estimate_tv(
-        p, q, tv.EstimatorConfig(0.1, 0.05, seed=2024, samples_override=count)
+#: Pairs for the engine check; the second has d_i = 0 coordinates, which
+#: estimate_tv leaves out of its kernel steps.
+ENGINE_PAIRS = {
+    "bernoulli": (BERNOULLI_P, BERNOULLI_Q),
+    "identical_coordinates": (
+        [[0.5, 0.5], [0.2, 0.3, 0.5], [0.6, 0.4], [0.1, 0.9], [0.25, 0.0, 0.75]],
+        [[0.5, 0.5], [0.25, 0.3, 0.45], [0.6, 0.4], [0.15, 0.85], [0.25, 0.0, 0.75]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_PAIRS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_f_matches_batch_estimator(name, workers):
+    """Same seed and count: estimate_tv and sample_pi_batch draw the same
+    outcomes, so estimator_f over the draws, one fsum per block merged in
+    block order, gives estimate_tv's mean bit for bit."""
+    p, q = (tv.validate(rows) for rows in ENGINE_PAIRS[name])
+    count = 9000
+    draws = tv.sample_pi_batch(p, q, tv.build_stats(p, q), 2024, count)
+    f = tv.estimator_f(p, q, draws)
+    block = tv.coupling.SAMPLE_BLOCK
+    partials = [math.fsum(f[start : start + block]) for start in range(0, count, block)]
+    expected = math.fsum(partials) / count
+    config = tv.EstimatorConfig(
+        0.1, 0.05, seed=2024, samples_override=count, workers=workers
     )
-    assert result.mean_f == pytest.approx(scalar_mean, rel=1e-12)
+    assert tv.estimate_tv(p, q, config).mean_f.hex() == expected.hex()
 
 
 # --- estimate_tv ------------------------------------------------------------

@@ -13,7 +13,9 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,8 @@ import tvdist as tv
 from tvdist import cli
 from tvdist.distributions import NORMALIZATION_TOL
 from tvdist.errors import IdenticalDistributions, SlackOnlyDifference, ValidationError
+
+from conftest import FAR_RATIO_PAIRS, all_states
 
 _WEIGHTS = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0]) | st.floats(0.0, 1.0)
 
@@ -111,6 +115,8 @@ def test_validated_pairs_never_raise_internal_errors(rows, seed):
         assert stats.pr_diff == 0.0
     else:
         assert draws.shape == (33, p.n)
+        f = tv.estimator_f(p, q, draws)
+        assert f.shape == (33,) and all(0.0 <= value <= 1.0 for value in f)
     assert _info_exit_code(p_rows, q_rows) == 0
 
 
@@ -122,3 +128,22 @@ def test_slack_only_coordinate_is_rejected_naming_it():
         tv.build_stats(p, q)
     assert info.value.coordinate == 2
     assert _info_exit_code([[0.5, 0.5], [1.0]], [[0.4, 0.6], [1.0 + 5e-11]]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RATIO_PAIRS))
+def test_far_ratio_pairs_raise_no_warning(name):
+    """A Q/P ratio past what (Q - P)/P can hold (2e-17, and 0.5 over a
+    subnormal P) gives results and no floating-point warning, and the
+    expectation of f matches the exact distance."""
+    p_rows, q_rows = FAR_RATIO_PAIRS[name]
+    p, q = tv.validate(p_rows), tv.validate(q_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = tv.EstimatorConfig(0.1, 0.05, seed=5, samples_override=5000)
+        assert 0.0 < tv.estimate_tv(p, q, config).estimate <= 1.0
+        assert 0.0 < tv.naive_estimate_tv(p, q, 5000, 5).estimate <= 1.0
+        f = tv.estimator_f(p, q, np.array(list(all_states(p.domain_sizes))))
+        expectation = tv.exact_expectation_f(p, q)
+    assert np.all((0.0 <= f) & (f <= 1.0))
+    pr_diff = tv.build_stats(p, q).pr_diff
+    assert abs(expectation * pr_diff - tv.exact_tv(p, q)) <= 1e-10
