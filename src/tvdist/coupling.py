@@ -477,7 +477,7 @@ def _f_stage(
     :class:`EstimatorOutOfRange` for a value above 1 by more than
     :data:`F_RANGE_TOL`; smaller excursions are clamped.
     """
-    # in place: numer = 1 where a Q/P factor is 0, else -expm1(t_qp), which
+    # in place: numer = 1 where a Q/P factor is 0, else 1 - prod Q/P, which
     # is -inf (so f = 0) where the Q/P product overflows
     with np.errstate(over="ignore"):
         numer = np.negative(np.expm1(t_qp, out=t_qp), out=t_qp)
