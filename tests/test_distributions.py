@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import tvdist as tv
+from tvdist.distributions import check_assignment
 from tvdist.errors import (
     DomainMismatch,
     EmptyInput,
+    IndexOutOfRange,
     InstanceFormatError,
     MarginalNotNormalized,
     NegativeProbability,
@@ -82,6 +85,24 @@ def test_validate_stores_vectors_exactly():
 def test_validate_accepts_tolerance_slack():
     dist = tv.validate([[0.5, 0.5 + 5e-10]])
     assert dist.marginals[0].probs[1] == 0.5 + 5e-10
+
+
+# --- assignment checks ------------------------------------------------------
+
+
+def test_point_mass_out_of_range():
+    dist = tv.validate([[0.5, 0.5]])
+    with pytest.raises(IndexOutOfRange) as info:
+        check_assignment(dist, np.array([[3]]))
+    assert info.value.coordinate == 1
+    with pytest.raises(IndexOutOfRange):
+        check_assignment(dist, np.array([[0]]))
+
+
+def test_point_mass_wrong_length():
+    dist = tv.validate([[0.5, 0.5]])
+    with pytest.raises(DomainMismatch):
+        check_assignment(dist, np.array([[1, 1]]))
 
 
 # --- per-coordinate TV ------------------------------------------------------
