@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .distributions import ProductDistribution, coordinate_tv, require_same_shape
+from .distributions import ProductDistribution, coordinate_tvs, require_same_shape
 from .errors import (
     DegenerateConditional,
     EstimatorOutOfRange,
@@ -272,11 +272,11 @@ def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplin
     disagree there, so ``pr_diff`` would count mass the conditional law
     never reaches.
     """
-    require_same_shape(p, q)
-    d = tuple(coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals))
-    for i, (d_i, pm, qm) in enumerate(zip(d, p.marginals, q.marginals), start=1):
-        if d_i > 0.0 and not any(b < a for a, b in zip(pm.probs, qm.probs)):
-            raise SlackOnlyDifference(i, d_i)
+    d = coordinate_tvs(p, q)
+    below = np.logical_or.reduceat(q.probs < p.probs, p.offsets[:-1])
+    slack = np.flatnonzero(np.greater(d, 0.0) & ~below)
+    if slack.size:
+        raise SlackOnlyDifference(int(slack[0]) + 1, d[slack[0]])
     n = len(d)
     suffix_log = [0.0] * (n + 1)
     suffix_zero = [False] * (n + 1)
@@ -324,22 +324,20 @@ class _PairTables:
     __slots__ = ("p", "log_r", "log_qp", "q_zero", "q_zero_in", "bounds", "max_q")
 
     def __init__(self, p: ProductDistribution, q: ProductDistribution) -> None:
-        pv = np.array([x for m in p.marginals for x in m.probs], dtype=np.float64)
-        qv = np.array([x for m in q.marginals for x in m.probs], dtype=np.float64)
+        self.p = pv = p.probs
         pos = pv > 0.0
-        q_zero = qv == 0.0
+        q_zero = q.probs == 0.0
         live = pos & ~q_zero
         with np.errstate(over="ignore"):
-            rel = (qv - pv) / np.where(pos, pv, 1.0)
+            rel = (q.probs - pv) / np.where(pos, pv, 1.0)
         far = live & ~((rel > -1.0) & (rel < np.inf))
-        self.p = pv
         self.log_qp = np.log1p(np.where(live & ~far, rel, 0.0))
-        self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
+        self.log_qp[far] = np.log(q.probs[far]) - np.log(pv[far])
         self.log_r = np.minimum(self.log_qp, 0.0)
         self.q_zero = pos & q_zero
         self.log_r[self.q_zero] = -np.inf
-        self.bounds = [0, *np.cumsum(p.domain_sizes).tolist()]
-        self.q_zero_in = np.logical_or.reduceat(self.q_zero, self.bounds[:-1]).tolist()
+        self.bounds = p.offsets.tolist()
+        self.q_zero_in = np.logical_or.reduceat(self.q_zero, p.offsets[:-1]).tolist()
         self.max_q = max(p.domain_sizes)
 
 

@@ -11,9 +11,11 @@ exactly as given (no silent renormalization).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +32,6 @@ from .errors import (
 #: admit hand-written decimal inputs while rejecting malformed vectors.
 NORMALIZATION_TOL = 1e-9
 
-#: Entry types :func:`validate` converts without a closer look; any other
-#: type is checked for bools and strings, which ``float`` would accept.
-_PLAIN_NUMBERS = frozenset((float, int))
-
-
 @dataclass(frozen=True)
 class CategoricalMarginal:
     """Probability vector of one coordinate, over categories ``{1, ..., q}``."""
@@ -49,22 +46,36 @@ class CategoricalMarginal:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductDistribution:
-    """Ordered marginals of an n-coordinate product distribution."""
+    """An n-coordinate product distribution, built by :func:`validate`.
 
-    marginals: tuple[CategoricalMarginal, ...]
+    ``probs`` is one read-only float64 array of every coordinate's vector in
+    turn: coordinate ``k`` (0-based) owns ``probs[offsets[k]:offsets[k + 1]]``,
+    of length ``domain_sizes[k]``. ``marginals`` is built on first access.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marginals", tuple(self.marginals))
+    probs: np.ndarray
+    offsets: np.ndarray
+    domain_sizes: tuple[int, ...]
+
+    @cached_property
+    def marginals(self) -> tuple[CategoricalMarginal, ...]:
+        values, ends = self.probs.tolist(), self.offsets.tolist()
+        return tuple(CategoricalMarginal(values[a:b]) for a, b in zip(ends, ends[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ProductDistribution) and (
+            self.domain_sizes == other.domain_sizes
+            and np.array_equal(self.probs, other.probs)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.probs.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.marginals)
-
-    @property
-    def domain_sizes(self) -> tuple[int, ...]:
-        return tuple(m.domain_size for m in self.marginals)
+        return len(self.domain_sizes)
 
     def state_count(self) -> int:
         return math.prod(self.domain_sizes)
@@ -83,61 +94,82 @@ class Assignment:
         return len(self.values)
 
 
+def _row_floats(i: int, raw: Sequence[float]) -> tuple[float, ...]:
+    """Coordinate ``i``'s entries as floats, naming a row or entry that is not one."""
+    c, entry = None, raw
+    try:
+        row = tuple(raw)
+        if {float}.issuperset(map(type, row)):
+            return row
+        values = []
+        for c, entry in enumerate(row, start=1):
+            if isinstance(entry, (bool, str)):
+                raise TypeError  # float() would take it
+            values.append(float(entry))
+        return tuple(values)
+    except (TypeError, ValueError, OverflowError):
+        if c is None:
+            where, what = f"coordinate {i}", "probabilities must be a sequence"
+        else:
+            where, what = f"coordinate {i}, category {c}", "probability must be a number"
+        raise InstanceFormatError(
+            f"{where}: {what}, got {entry!r}", coordinate=i, category=c
+        ) from None
+
+
 def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
     """Build a :class:`ProductDistribution` from raw probability vectors.
 
     The dimension count and per-coordinate domain sizes are taken from the
     input shape. Entries must be non-negative numbers and each vector must
     sum to 1 within :data:`NORMALIZATION_TOL`; the vectors are then stored
-    as given.
+    as given. Format errors are raised first, in row order; then the first
+    row that is empty, has a negative entry or a bad sum.
 
     Raises:
-        InstanceFormatError: an entry is a bool or a string, which ``float``
-            would otherwise turn into a probability.
+        InstanceFormatError: a row is not a sequence, or an entry is a bool,
+            a string or anything else ``float`` rejects.
         EmptyInput: no coordinates, or a coordinate with no categories.
         NegativeProbability: an entry is below zero.
         MarginalNotNormalized: a vector's sum is off by more than the
             tolerance (also raised for non-finite entries).
     """
-    vectors = []
-    for i, raw in enumerate(p_raw, start=1):
-        raw = tuple(raw)
-        if not _PLAIN_NUMBERS.issuperset(map(type, raw)):
-            for c, entry in enumerate(raw, start=1):
-                if isinstance(entry, (bool, str)):
-                    raise InstanceFormatError(
-                        f"coordinate {i}, category {c}: probability must be a "
-                        f"number, got {entry!r}",
-                        coordinate=i,
-                        category=c,
-                    )
-        vectors.append(tuple(map(float, raw)))
-    if not vectors:
+    rows = [_row_floats(i, raw) for i, raw in enumerate(p_raw, start=1)]
+    if not rows:
         raise EmptyInput("a product distribution needs at least one coordinate")
-    marginals = []
-    for i, vec in enumerate(vectors, start=1):
-        if not vec:
-            raise EmptyInput(f"coordinate {i} has no categories")
-        for c, value in enumerate(vec, start=1):
+    sizes = tuple(map(len, rows))
+    offsets = np.cumsum((0, *sizes), dtype=np.intp)
+    probs = np.fromiter(itertools.chain.from_iterable(rows), np.float64, int(offsets[-1]))
+    checked = sizes.index(0) if 0 in sizes else len(rows)
+    head, starts = probs[: offsets[checked]], offsets[:checked]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rough = np.add.reduceat(head, starts)
+    # near 1, a rounded sum of q non-negative entries is within q * 2**-52 of
+    # the exact one; every other row is checked entry by entry, in row order
+    margin = np.diff(offsets[: checked + 1]) * 2.0**-50
+    suspect = np.logical_or.reduceat(head < 0.0, starts)
+    suspect |= ~(np.abs(rough - 1.0) <= NORMALIZATION_TOL - margin)
+    for k in np.flatnonzero(suspect).tolist():
+        for c, value in enumerate(rows[k], start=1):
             if value < 0.0:
-                raise NegativeProbability(i, c, value)
-        total = math.fsum(vec)
+                raise NegativeProbability(k + 1, c, value)
+        total = math.fsum(rows[k])
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise MarginalNotNormalized(i, total)
-        marginals.append(CategoricalMarginal(vec))
-    return ProductDistribution(tuple(marginals))
+            raise MarginalNotNormalized(k + 1, total)
+    if checked < len(rows):
+        raise EmptyInput(f"coordinate {checked + 1} has no categories")
+    probs.flags.writeable = offsets.flags.writeable = False
+    return ProductDistribution(probs, offsets, sizes)
 
 
 def require_same_shape(p: ProductDistribution, q: ProductDistribution) -> None:
     """Raise :class:`DomainMismatch` unless ``p`` and ``q`` have identical shape."""
     if p.n != q.n:
         raise DomainMismatch(f"dimension mismatch: {p.n} vs {q.n} coordinates")
-    for i, (pm, qm) in enumerate(zip(p.marginals, q.marginals), start=1):
-        if pm.domain_size != qm.domain_size:
+    for i, (a, b) in enumerate(zip(p.domain_sizes, q.domain_sizes), start=1):
+        if a != b:
             raise DomainMismatch(
-                f"coordinate {i}: domain sizes differ "
-                f"({pm.domain_size} vs {qm.domain_size})",
-                coordinate=i,
+                f"coordinate {i}: domain sizes differ ({a} vs {b})", coordinate=i
             )
 
 
@@ -178,6 +210,16 @@ def coordinate_tv(p_i: CategoricalMarginal, q_i: CategoricalMarginal) -> float:
     return min(half_l1, 1.0)
 
 
+def coordinate_tvs(p: ProductDistribution, q: ProductDistribution) -> tuple[float, ...]:
+    """Each coordinate's :func:`coordinate_tv`, summed only where P and Q differ."""
+    require_same_shape(p, q)
+    gap, bounds = np.abs(p.probs - q.probs), p.offsets.tolist()
+    d = [0.0] * p.n
+    for k in np.flatnonzero(np.logical_or.reduceat(gap > 0, p.offsets[:-1])).tolist():
+        d[k] = min(0.5 * math.fsum(memoryview(gap)[bounds[k] : bounds[k + 1]]), 1.0)
+    return tuple(d)
+
+
 def are_identical(p: ProductDistribution, q: ProductDistribution) -> bool:
     """True iff every coordinate's TV distance is exactly zero.
 
@@ -185,6 +227,5 @@ def are_identical(p: ProductDistribution, q: ProductDistribution) -> bool:
     change what is being estimated downstream.
     """
     require_same_shape(p, q)
-    return all(
-        coordinate_tv(pm, qm) == 0.0 for pm, qm in zip(p.marginals, q.marginals)
-    )
+    # an exact sum of |P - Q| is zero only where every term is
+    return bool(np.array_equal(p.probs, q.probs))

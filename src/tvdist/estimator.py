@@ -45,7 +45,7 @@ from .coupling import (
 from .distributions import (
     ProductDistribution,
     check_assignment,
-    coordinate_tv,
+    coordinate_tvs,
     require_same_shape,
 )
 from .errors import InvalidParameter, ZeroDenominator
@@ -54,11 +54,11 @@ from .errors import InvalidParameter, ZeroDenominator
 class EstimatorConfig:
     """Accuracy targets and reproducibility knobs for :func:`estimate_tv`.
 
-    ``samples_override`` replaces the derived sample count when set.
-    With ``workers >= 2`` the calling thread runs the sampling arithmetic
-    while one other thread fills its uniforms ahead of it; more than 2 adds
-    nothing while that arithmetic is bound by the interpreter lock. The
-    worker count never changes the result.
+    ``samples_override`` replaces the derived sample count when set. With
+    ``workers >= 2`` one other thread fills the uniforms ahead of the calling
+    thread's arithmetic, which pays off only when many coordinates need
+    uniforms; more than 2 adds nothing while that arithmetic holds the
+    interpreter lock. The worker count never changes the result.
     """
 
     epsilon: float
@@ -139,7 +139,7 @@ def estimator_f(
     values = check_assignment(p, assignments)
     tables = _PairTables(p, q)
     # flat table index of each outcome's category, one row per coordinate
-    picked = (values - 1 + np.array(tables.bounds[:-1])).T
+    picked = (values - 1 + p.offsets[:-1]).T
     outside = tables.p[picked] == 0.0
     if outside.any():
         i = int(np.argmax(outside.any(axis=1))) + 1
@@ -228,19 +228,15 @@ def naive_estimate_tv(
     the mean with a scale factor of 1 (``pr_diff`` field set to 1.0).
     """
     start = time.perf_counter()
-    require_same_shape(p, q)
+    d = coordinate_tvs(p, q)
     check_seed(seed)
     if samples < 1:
         raise InvalidParameter(f"samples must be positive, got {samples}")
-    d = tuple(coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals))
     tables = _PairTables(p, q)
     bounds = list(zip(tables.bounds, tables.bounds[1:]))
     # a coordinate whose Q/P ratios are all exactly 1 cannot change g
-    steps = [
-        k
-        for k, (lo, hi) in enumerate(bounds)
-        if tables.q_zero_in[k] or tables.log_qp[lo:hi].any()
-    ]
+    moves = np.logical_or.reduceat((tables.log_qp != 0.0) | tables.q_zero, p.offsets[:-1])
+    steps = np.flatnonzero(moves).tolist()
     cums = [np.cumsum(tables.p[lo:hi]) for lo, hi in bounds]
     panels = _panels(block_sizes(samples))
     work = _Workspace(_widest(panels), floats=1, flags=2, picks=1)

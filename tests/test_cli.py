@@ -192,7 +192,16 @@ def test_non_numeric_probability_is_validation_error(capsys, tmp_path):
     assert report["error"]["type"] == "InstanceFormatError"
 
 
-@pytest.mark.parametrize("entry", [True, "0.5"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        True,
+        "0.5",
+        pytest.param(None, id="null"),
+        pytest.param([0.5], id="nested_list"),
+        pytest.param(10**401, id="int_past_double_range"),
+    ],
+)
 def test_bool_or_string_probability_is_validation_error(capsys, tmp_path, entry):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({"p": [[0.5, 0.5], [entry, 0.5]], "q": BERNOULLI_Q}))
@@ -202,6 +211,22 @@ def test_bool_or_string_probability_is_validation_error(capsys, tmp_path, entry)
     assert report["error"]["coordinate"] == 2
     assert "coordinate 2, category 1" in report["error"]["message"]
     assert "category 1" in err
+
+
+@pytest.mark.parametrize(
+    "text, coordinate",
+    [
+        pytest.param('{"p": [[0.5, 0.5], 0.5], "q": [[0.5, 0.5], [0.5, 0.5]]}', 2, id="row"),
+        pytest.param('{"p": [[' + "1" * 5000 + ']], "q": [[1.0]]}', None, id="digits"),
+    ],
+)
+def test_unreadable_rows_are_validation_errors(capsys, tmp_path, text, coordinate):
+    path = tmp_path / "rows.json"
+    path.write_text(text)
+    code, report, _ = run_cli(capsys, ["info", str(path)])
+    assert code == 2
+    assert report["error"]["type"] == "InstanceFormatError"
+    assert report["error"].get("coordinate") == coordinate
 
 
 def test_internal_invariant_maps_to_exit_5(capsys, bernoulli_file, monkeypatch):

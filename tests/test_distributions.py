@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,10 @@ def test_validate_negative_entry():
         ([[0.5, 0.5], [0.5, True]], 2, 2),
         ([["0.5", 0.5]], 1, 1),
         ([[0.25, 0.75], [0.5, "0.5"]], 2, 2),
+        pytest.param([[None, 1.0]], 1, 1, id="none"),
+        pytest.param([[0.5, 0.5], [0.5, [0.5]]], 2, 2, id="nested_list"),
+        pytest.param([[0.25, 0.75], [10**401, 0.5]], 2, 1, id="int_past_double_range"),
+        pytest.param([[0.5, 0.5], [0.5, 0.5, "x", None]], 2, 3, id="first_bad_entry"),
     ],
 )
 def test_validate_rejects_bool_and_string_entries(rows, coordinate, category):
@@ -67,6 +73,15 @@ def test_validate_rejects_bool_and_string_entries(rows, coordinate, category):
     assert info.value.coordinate == coordinate
     assert info.value.category == category
     assert f"coordinate {coordinate}, category {category}" in str(info.value)
+
+
+@pytest.mark.parametrize("row", [0.5, None, pytest.param(10**401, id="huge_int")])
+def test_validate_rejects_a_row_that_is_not_a_sequence(row):
+    with pytest.raises(InstanceFormatError) as info:
+        tv.validate([[0.5, 0.5], row])
+    assert info.value.coordinate == 2
+    assert info.value.category is None
+    assert "coordinate 2: probabilities must be a sequence" in str(info.value)
 
 
 def test_validate_non_finite_entry():
@@ -85,6 +100,30 @@ def test_validate_stores_vectors_exactly():
 def test_validate_accepts_tolerance_slack():
     dist = tv.validate([[0.5, 0.5 + 5e-10]])
     assert dist.marginals[0].probs[1] == 0.5 + 5e-10
+
+
+def test_product_distribution_stays_immutable():
+    rows = [[0.25, 0.75], [0.1, 0.2, 0.7], [1.0]]
+    p, again = tv.validate(rows), tv.validate(rows)
+    assert p == again and hash(p) == hash(again) and len({p, again}) == 1
+    assert p != tv.validate([[0.75, 0.25], [0.1, 0.2, 0.7], [1.0]])
+    assert p != rows
+    signed = tv.validate([[-0.0, 1.0]])
+    assert signed == tv.validate([[0.0, 1.0]])
+    assert hash(signed) == hash(tv.validate([[0.0, 1.0]]))
+    # the same flat vector split into other coordinates is another distribution
+    assert tv.validate([[1.0, 0.0], [1.0]]) != tv.validate([[1.0], [0.0, 1.0]])
+    assert p.probs.dtype == np.float64 and p.probs.tolist() == [x for r in rows for x in r]
+    assert p.offsets.tolist() == [0, 2, 5, 6]
+    with pytest.raises(ValueError):
+        p.probs[0] = 0.5
+    with pytest.raises(ValueError):
+        p.offsets[1] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.probs = np.zeros(6)
+    assert p.marginals[1].probs == (0.1, 0.2, 0.7)
+    assert [m.probs for m in p.marginals] == [tuple(r) for r in rows]
+    assert p.marginals is p.marginals
 
 
 # --- assignment checks ------------------------------------------------------
