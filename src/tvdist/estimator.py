@@ -237,7 +237,7 @@ def naive_estimate_tv(
     # a coordinate whose Q/P ratios are all exactly 1 cannot change g
     moves = np.logical_or.reduceat((tables.log_qp != 0.0) | tables.q_zero, p.offsets[:-1])
     steps = np.flatnonzero(moves).tolist()
-    cums = [np.cumsum(tables.p[lo:hi]) for lo, hi in bounds]
+    cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
     panels = _panels(block_sizes(samples))
     work = _Workspace(_widest(panels), floats=1, flags=2, picks=1)
     rows = _panel_rows(seed, panels, _stream_runs(steps, p.n), prefetch=False)
