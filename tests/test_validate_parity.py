@@ -106,6 +106,15 @@ def _boundary_rows() -> list[list[float]]:
             rows.append([x - 0.5, 0.5])
             rows.append([2.0**-6] * 15 + [x - 15 * 2.0**-6])
             rows.append([2.0**-6] * 7 + [x - 15 * 2.0**-6] + [2.0**-6] * 8)
+    # the largest accepted total, then quarter-ulp entries: a left-to-right
+    # sum drops each of them, while their exact sum can cross the edge
+    top = 1.0 + NORMALIZATION_TOL
+    while top - 1.0 > NORMALIZATION_TOL:
+        top = math.nextafter(top, 0.0)
+    while math.nextafter(top, 2.0) - 1.0 <= NORMALIZATION_TOL:
+        top = math.nextafter(top, 2.0)
+    for quarters in (1, 2, 3, 5):
+        rows.append([0.5, top - 0.5] + [2.0**-54] * quarters)
     return rows
 
 
