@@ -192,7 +192,7 @@ def _entry_row(draw) -> list:
         elif kind == "str":
             row[c] = repr(value)
         elif kind is np.float32 and not abs(value) < 3e38:
-            row[c] = value  # a finite cast would overflow
+            row[c] = value  # float32 cannot hold it
         else:
             row[c] = kind(value)
     return row
@@ -213,9 +213,14 @@ def test_validate_matches_reference_loop(rows):
 @st.composite
 def _pair(draw) -> tuple[list[float], list[float]]:
     size = draw(st.integers(1, 16))
-    weights = st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]) | st.integers(0, 1000),
-                       min_size=size, max_size=size).filter(any)  # fmt: skip
-    p = [w / sum(ws) for ws in [draw(weights)] for w in ws]
+    entry = st.sampled_from([0, 0, 1, 2, 3, 7]) | st.integers(0, 1000)
+    weights = st.lists(entry, min_size=size, max_size=size).filter(any)
+
+    def normalised() -> list[float]:
+        w = draw(weights)
+        return [x / sum(w) for x in w]
+
+    p = normalised()
     kind = draw(st.sampled_from(["same", "tiny", "other"]))
     q = list(p)
     if kind == "tiny":
@@ -225,7 +230,7 @@ def _pair(draw) -> tuple[list[float], list[float]]:
         q[src] -= step
         q[dst] += step
     elif kind == "other":
-        q = [w / sum(ws) for ws in [draw(weights)] for w in ws]
+        q = normalised()
     for row in (p, q):
         if draw(st.booleans()):
             c = draw(st.integers(0, size - 1))
