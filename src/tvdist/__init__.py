@@ -40,17 +40,24 @@ from .estimator import (
     naive_estimate_tv,
     sample_count,
 )
-from .oracle import (
-    EnumerationBudget,
-    exact_expectation_f,
-    exact_pi,
-    exact_sum_positive_part,
-    exact_tv,
-    random_instance_pair,
-    random_instances,
-)
 
 __version__ = "0.1.0"
+
+#: The oracle's names, imported on first access: CLI commands other than
+#: ``exact`` then never load ``fractions`` and ``decimal``.
+_ORACLE_NAMES = frozenset(
+    "EnumerationBudget exact_expectation_f exact_pi exact_sum_positive_part "
+    "exact_tv random_instance_pair random_instances".split()
+)
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)
+
 
 __all__ = [
     "Assignment",

@@ -13,9 +13,9 @@ budget exceeded, 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
-import secrets
 import sys
 import time
 from typing import Any
@@ -35,7 +35,6 @@ from .estimator import (
     naive_estimate_tv,
     sample_count,
 )
-from .oracle import EnumerationBudget, exact_tv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -145,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
+    import secrets
+
     generated = secrets.randbits(64)
     print(f"generated seed: {generated}", file=sys.stderr)
     return generated
@@ -205,6 +206,8 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
 
 
 def _cmd_exact(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
+    from .oracle import EnumerationBudget, exact_tv
+
     p, q, digest = load_instance(args.instance)
     budget = (
         EnumerationBudget(max_states=args.max_states)
@@ -311,5 +314,12 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> int:
+    """Process entry of ``python -m tvdist.cli`` and the ``tvdist`` script."""
+    code = main()
+    gc.freeze()  # exit collections skip what is alive now; the OS frees it
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -46,9 +46,9 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .distributions import ProductDistribution, coordinate_tvs, require_same_shape
 from .errors import (
@@ -59,6 +59,9 @@ from .errors import (
     SlackOnlyDifference,
     ZeroDenominator,
 )
+
+if TYPE_CHECKING:
+    from numpy.random import Generator, Philox
 
 #: Draws per RNG work unit; fixed so that results are worker-count invariant.
 SAMPLE_BLOCK = 4096
@@ -93,6 +96,8 @@ def check_seed(seed: int) -> int:
 
 def block_rng(seed: int, block: int) -> Generator:
     """Counter-based generator for work unit ``block`` of a run seeded ``seed``."""
+    from numpy.random import Generator, Philox, SeedSequence
+
     return Generator(Philox(SeedSequence([check_seed(seed), int(block)])))
 
 

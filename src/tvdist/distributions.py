@@ -132,7 +132,7 @@ def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
         EmptyInput: no coordinates, or a coordinate with no categories.
         NegativeProbability: an entry is below zero.
         MarginalNotNormalized: a vector's sum is off by more than the
-            tolerance (also raised for non-finite entries).
+            tolerance or is not finite (``inf`` if finite entries overflow).
     """
     rows = [_row_floats(i, raw) for i, raw in enumerate(p_raw, start=1)]
     if not rows:
@@ -153,7 +153,10 @@ def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
         for c, value in enumerate(rows[k], start=1):
             if value < 0.0:
                 raise NegativeProbability(k + 1, c, value)
-        total = math.fsum(rows[k])
+        try:
+            total = math.fsum(rows[k])
+        except OverflowError:  # finite entries whose sum passes the largest double
+            total = math.inf
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise MarginalNotNormalized(k + 1, total)
     if checked < len(rows):

@@ -1,17 +1,21 @@
-"""Shared instances and independent brute-force helpers for the test suite.
+"""Shared instances, CLI fixtures and independent brute-force helpers.
 
-The helpers here deliberately use plain floats and itertools enumeration
-so expected values never flow through the code paths under test.
+The brute-force helpers deliberately use plain floats and itertools
+enumeration so expected values never flow through the code paths under
+test.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from importlib import resources
 
 import pytest
 
 import tvdist as tv
+from tvdist import cli
 
 BERNOULLI_P = [[0.7, 0.3], [0.7, 0.3]]
 BERNOULLI_Q = [[0.4, 0.6], [0.4, 0.6]]
@@ -29,6 +33,29 @@ FAR_RATIO_PAIRS = {
         [[0.55, 0.45], [0.5, 0.5], [0.35, 0.65], [0.25, 0.75]],
     ),
 }
+
+
+def run_cli(capsys, argv):
+    """Run ``cli.main(argv)`` in-process: exit code, parsed report (or None), stderr."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out) if captured.out.strip() else None
+    return code, report, captured.err
+
+
+@pytest.fixture(scope="session")
+def schema():
+    """The run-report JSON schema shipped with the package."""
+    text = (resources.files("tvdist") / "schemas" / "run-report.schema.json").read_text()
+    return json.loads(text)
+
+
+@pytest.fixture()
+def bernoulli_file(tmp_path):
+    """The Bernoulli instance written as a CLI instance file."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"p": BERNOULLI_P, "q": BERNOULLI_Q}))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import json
-from importlib import resources
 
 import jsonschema
 import pytest
@@ -8,29 +7,7 @@ import tvdist as tv
 from tvdist import cli
 from tvdist.errors import DegenerateConditional
 
-from conftest import BERNOULLI_P, BERNOULLI_Q
-
-
-@pytest.fixture(scope="module")
-def schema():
-    text = (
-        resources.files("tvdist") / "schemas" / "run-report.schema.json"
-    ).read_text()
-    return json.loads(text)
-
-
-@pytest.fixture()
-def bernoulli_file(tmp_path):
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps({"p": BERNOULLI_P, "q": BERNOULLI_Q}))
-    return str(path)
-
-
-def run_cli(capsys, argv):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
-    return code, report, captured.err
+from conftest import BERNOULLI_P, BERNOULLI_Q, run_cli
 
 
 def check_schema(schema, report):
@@ -166,6 +143,16 @@ def test_invalid_probabilities_name_the_coordinate(capsys, tmp_path):
     assert code == 2
     assert report["error"]["type"] == "MarginalNotNormalized"
     assert report["error"]["coordinate"] == 1
+
+
+def test_overflowing_row_sum_is_validation_error(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"p": [[1e308, 1e308]], "q": [[0.5, 0.5]]}))
+    code, report, _ = run_cli(capsys, ["info", str(path)])
+    assert code == 2
+    assert report["error"]["type"] == "MarginalNotNormalized"
+    assert report["error"]["coordinate"] == 1
+    assert "sum to inf" in report["error"]["message"]
 
 
 def test_shape_mismatch_is_validation_error(capsys, tmp_path):

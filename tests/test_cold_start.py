@@ -1,0 +1,153 @@
+"""A fresh ``python -m tvdist.cli`` process: reports, exit codes and imports.
+
+Each command is run in a new interpreter that imports the package under
+test, as a user's shell would start it. ``-X importtime`` lists every module
+the process loads, so the tests can require that a command loads only what
+it runs: ``info`` no generator, oracle or seed source. The package's oracle
+names resolve on first access, and in-process ``main`` must not touch the
+collector, which only the process entry ``cli.run`` freezes.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+import tvdist as tv
+
+from conftest import run_cli
+
+#: The directory the package under test is imported from.
+PACKAGE_ROOT = str(Path(tv.__file__).resolve().parents[1])
+
+#: Modules only some commands need.
+ON_DEMAND = ("numpy.random", "tvdist.oracle", "fractions", "decimal", "secrets")
+
+
+def fresh_python(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run a new interpreter on ``args``; returns it and the modules it imported."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, path]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    return proc, modules
+
+
+def fresh_cli(argv: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
+    return fresh_python(["-m", "tvdist.cli", *argv])
+
+
+def without_timing(report: dict) -> dict:
+    result = {k: v for k, v in report["result"].items() if k != "elapsed_seconds"}
+    return {**report, "result": result, "timing": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["info"], ["estimate", "--seed", "7"]],
+    ids=["info", "estimate_seeded"],
+)
+def test_fresh_process_matches_in_process_main(capsys, schema, bernoulli_file, argv):
+    argv = [argv[0], bernoulli_file, *argv[1:]]
+    proc, _ = fresh_cli(argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    jsonschema.Draft202012Validator(schema).validate(report)
+    code, expected, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert without_timing(report) == without_timing(expected)
+
+
+def test_fresh_process_flushes_a_validation_error(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"p": [[1e308, 1e308]], "q": [[0.5, 0.5]]}))
+    proc, _ = fresh_cli(["info", str(path)])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "MarginalNotNormalized"
+    assert error["coordinate"] == 1
+
+
+def test_info_imports_nothing_on_demand(bernoulli_file):
+    proc, modules = fresh_cli(["info", bernoulli_file])
+    assert proc.returncode == 0
+    assert "tvdist.coupling" in modules  # the parse sees the package's imports
+    assert modules.isdisjoint(ON_DEMAND), sorted(modules.intersection(ON_DEMAND))
+
+
+def test_seeded_estimate_imports_the_generator_not_the_oracle(bernoulli_file):
+    proc, modules = fresh_cli(["estimate", bernoulli_file, "--seed", "7"])
+    assert proc.returncode == 0
+    assert "numpy.random" in modules
+    assert modules.isdisjoint({"tvdist.oracle", "fractions", "decimal"})
+
+
+def test_unseeded_estimate_imports_secrets_and_prints_the_seed(bernoulli_file):
+    proc, modules = fresh_cli(["estimate", bernoulli_file])
+    assert proc.returncode == 0
+    assert "secrets" in modules
+    seed = json.loads(proc.stdout)["config"]["seed"]
+    assert f"generated seed: {seed}" in proc.stderr
+
+
+def test_exact_imports_the_oracle(bernoulli_file):
+    proc, modules = fresh_cli(["exact", bernoulli_file])
+    assert proc.returncode == 0
+    assert {"tvdist.oracle", "fractions"} <= modules
+
+
+def test_in_process_main_freezes_nothing(capsys, bernoulli_file):
+    before = gc.get_freeze_count()
+    for argv in (["info", bernoulli_file], ["estimate", bernoulli_file, "--seed", "3"]):
+        assert run_cli(capsys, argv)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+# --- the package's lazily resolved names ---------------------------------------
+
+
+def test_every_public_name_resolves():
+    for name in tv.__all__:
+        assert getattr(tv, name) is not None, name
+    from tvdist import oracle
+
+    assert tv.exact_tv is oracle.exact_tv
+    assert tv.EnumerationBudget is oracle.EnumerationBudget
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from tvdist import *", namespace)
+    assert set(tv.__all__) <= namespace.keys()
+
+
+def test_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tv.no_such_name
+    assert not hasattr(tv, "no_such_name")
+
+
+def test_oracle_loads_on_first_access():
+    probe = (
+        "import sys, tvdist; assert 'tvdist.oracle' not in sys.modules; "
+        "tvdist.exact_tv; assert 'tvdist.oracle' in sys.modules"
+    )
+    proc, _ = fresh_python(["-c", probe])
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -91,6 +91,14 @@ def test_validate_non_finite_entry():
         tv.validate([[float("inf"), 0.5]])
 
 
+def test_validate_overflowing_row_sum():
+    # finite entries whose exact sum passes the largest double
+    with pytest.raises(MarginalNotNormalized) as info:
+        tv.validate([[0.5, 0.5], [1e308, 1e308]])
+    assert info.value.coordinate == 2
+    assert info.value.total == float("inf")
+
+
 def test_validate_stores_vectors_exactly():
     raw = [0.30000000000000004, 0.7]
     dist = tv.validate([raw])

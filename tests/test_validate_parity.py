@@ -51,7 +51,10 @@ def reference_validate(p_raw) -> tuple[tuple[float, ...], ...]:
         for c, value in enumerate(vec, start=1):
             if value < 0.0:
                 raise NegativeProbability(i, c, value)
-        total = math.fsum(vec)
+        try:
+            total = math.fsum(vec)
+        except OverflowError:  # finite entries past the largest double
+            total = math.inf
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise MarginalNotNormalized(i, total)
     return tuple(vectors)
@@ -138,6 +141,7 @@ HAND_CASES = {
     "nan_after_good_rows": [[0.5, 0.5], [0.25, 0.75], [0.5, float("nan"), 0.5]],
     "inf": [[float("inf"), 0.5]],
     "inf_and_minus_inf": [[float("inf"), -float("inf")]],
+    "finite_sum_overflows": [[0.5, 0.5], [1e308, 1e308]],
     "minus_inf": [[0.5, 0.5], [-float("inf"), 1.0]],
     "nan_and_minus_inf": [[float("nan"), 0.5], [-float("inf"), 1.0]],
     "slack_accepted": [[0.5, 0.5 + 5e-10], [0.5 - 5e-10, 0.5]],
