@@ -14,11 +14,12 @@ prefix's product of ``min(P_i, Q_i)/P_i`` ratios times a suffix product of
     w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k),
     sum_c w_k(c) = 1 - A_{k-1} * B_{k-1}.
 
-All products over coordinates are held as sums of logs with explicit zero
-flags (the sampling kernel flags a zero ``min(P_i, Q_i)/P_i`` factor by a
-log of ``-inf``), and ``1 - x`` quantities go through ``log1p``/``expm1``,
-because the interesting regime is exponentially small per-coordinate
-distances where naive products lose everything to rounding.
+All products over coordinates are held as sums of logs, and ``1 - x``
+quantities go through ``log1p``/``expm1``, because the interesting regime
+is exponentially small per-coordinate distances where naive products lose
+everything to rounding. A zero factor (``d_i = 1`` in a suffix product, a
+zero ``min(P_i, Q_i)/P_i`` ratio in a prefix) is a log of ``-inf``, its
+zero flag.
 
 Randomness: a run is identified by a 64-bit ``seed``; work unit ``b``
 (a block of up to :data:`SAMPLE_BLOCK` consecutive draws) uses the
@@ -33,19 +34,23 @@ whichever outputs a run asks for. The mapping from draw index to block is
 fixed by the block size alone, so results never depend on whether the
 uniforms are filled on the calling thread or ahead of it on another one.
 
-Blocks stay the unit of randomness and of summation. The kernel only
-groups up to :data:`PANEL_BLOCKS` consecutive equal-size blocks into a
-panel and steps them side by side, as ``(blocks, size)`` arrays, to pay
-its per-call costs once per panel instead of once per block; each block
-keeps its own stream, and its values are summed on their own.
+Blocks stay the unit of randomness and of summation. The run plan,
+:func:`_draw_panels`, only groups up to :data:`PANEL_BLOCKS` consecutive
+equal-size blocks into a panel, which the kernel, :func:`_sample_panels`,
+steps side by side as ``(blocks, size)`` arrays, to pay its per-call costs
+once per panel instead of once per block; each block keeps its own
+stream, and its values are summed on their own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterator
+from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,6 +97,20 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < _MAX_SEED:
         raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
     return int(seed)
+
+
+def check_count(name: str, value: int) -> int:
+    """Validate a positive count of draws or workers and return it as a plain int."""
+    if isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer, got bool")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        kind = type(value).__name__
+        raise InvalidParameter(f"{name} must be an integer, got {kind}") from None
+    if count < 1:
+        raise InvalidParameter(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def block_rng(seed: int, block: int) -> Generator:
@@ -161,11 +180,6 @@ def _panels(sizes: list[int]) -> list[tuple[int, int, int]]:
     return panels
 
 
-def _widest(panels: list[tuple[int, int, int]]) -> int:
-    """Draws in the widest panel."""
-    return max(blocks * size for _, blocks, size in panels)
-
-
 def _uniform_chunks(
     rngs: list[Generator],
     size: int,
@@ -217,7 +231,7 @@ def _panel_rows(
     boundaries; its errors are raised to the caller, and closing the
     iterator waits for the fill in flight.
     """
-    capacity = max(UNIFORM_CHUNK, _widest(panels))
+    capacity = max(UNIFORM_CHUNK, *(blocks * size for _, blocks, size in panels))
     buffers = itertools.cycle([np.empty(capacity) for _ in range(1 + prefetch)])
     chunks = (
         chunk
@@ -243,34 +257,68 @@ def _panel_rows(
             yield from chunk
 
 
+def _draw_panels(
+    seed: int,
+    count: int,
+    steps: list[int],
+    n: int,
+    *,
+    floats: int,
+    flags: int,
+    picks: int,
+    prefetch: bool = False,
+) -> Iterator[tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray]]:
+    """The run plan of ``count`` draws over ``n`` coordinates, panel by panel.
+
+    Yields ``(rows, floats, flags, picks)`` per panel (see :func:`_panels`):
+    ``rows`` yields a ``(blocks, size)`` row of uniforms for each coordinate
+    in ``steps`` (see :func:`_panel_rows`), and the others are
+    ``(rows, blocks, size)`` views of buffers with that many rows of
+    doubles, bools and indices. The buffers are allocated once per run, so
+    a run touches fresh pages once, not once per panel. Closing this
+    generator closes the row reader.
+    """
+    panels = _panels(block_sizes(count))
+    width = max(blocks * size for _, blocks, size in panels)
+    kinds = ((floats, np.float64), (flags, bool), (picks, np.intp))
+    buffers = [np.empty((height, width), dtype) for height, dtype in kinds]
+    runs = _stream_runs(steps, n)
+    with closing(_panel_rows(seed, panels, runs, prefetch=prefetch)) as rows:
+        for _, blocks, size in panels:
+            views = (b[:, : blocks * size].reshape(-1, blocks, size) for b in buffers)
+            yield (rows, *views)
+
+
 @dataclass(frozen=True)
 class GreedyCouplingStats:
     """Aggregate quantities of the greedy coupling for one (P, Q) pair.
 
-    ``suffix[k]`` is ``B_k = prod_{i>k} (1 - d_i)`` for ``k = 0..n`` (so
-    ``suffix[n] = 1`` and ``pr_diff = 1 - suffix[0]``). ``suffix_log`` and
-    ``suffix_zero`` carry the same products in log space: the log sums run
-    over the factors with ``d_i < 1`` and the flag records whether any
-    ``d_i = 1`` coordinate lies in the suffix (making ``B_k`` exactly 0).
+    ``suffix_log[k]`` is the log of ``B_k = prod_{i>k} (1 - d_i)`` for
+    ``k = 0..n`` (so ``suffix_log[n] = 0`` and ``pr_diff = 1 - B_0``). It is
+    ``-inf`` wherever a ``d_i = 1`` coordinate lies in the suffix, making
+    ``B_k`` exactly 0: the zero flag :class:`_PairTables` uses too.
+    ``suffix`` gives the products ``B_k`` themselves.
     """
 
     d: tuple[float, ...]
-    suffix: tuple[float, ...]
     pr_diff: float
     suffix_log: tuple[float, ...]
-    suffix_zero: tuple[bool, ...]
 
     @property
     def n(self) -> int:
         return len(self.d)
+
+    @cached_property
+    def suffix(self) -> tuple[float, ...]:
+        return tuple(math.exp(s) for s in self.suffix_log)
 
 
 def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplingStats:
     """Per-coordinate TV distances, suffix products, and Pr[X != Y].
 
     ``pr_diff`` is computed as ``-expm1(sum_i log1p(-d_i))`` so it stays
-    accurate when every ``d_i`` is tiny; coordinates with ``d_i = 1`` are
-    carried by the zero flags.
+    accurate when every ``d_i`` is tiny; a coordinate with ``d_i = 1`` adds
+    a log of ``-inf``, so ``pr_diff`` is exactly 1.
 
     Raises :class:`SlackOnlyDifference` for a coordinate with ``d_i > 0``
     whose Q is at least P wherever P is positive: the coupling cannot
@@ -282,28 +330,11 @@ def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplin
     slack = np.flatnonzero(np.greater(d, 0.0) & ~below)
     if slack.size:
         raise SlackOnlyDifference(int(slack[0]) + 1, d[slack[0]])
-    n = len(d)
-    suffix_log = [0.0] * (n + 1)
-    suffix_zero = [False] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        d_next = d[k]
-        if d_next >= 1.0:
-            suffix_zero[k] = True
-            suffix_log[k] = suffix_log[k + 1]
-        else:
-            suffix_zero[k] = suffix_zero[k + 1]
-            suffix_log[k] = suffix_log[k + 1] + math.log1p(-d_next)
-    suffix = tuple(
-        0.0 if z else math.exp(s) for z, s in zip(suffix_zero, suffix_log)
-    )
-    pr_diff = 1.0 if suffix_zero[0] else -math.expm1(suffix_log[0]) + 0.0
-    return GreedyCouplingStats(
-        d=d,
-        suffix=suffix,
-        pr_diff=pr_diff,
-        suffix_log=tuple(suffix_log),
-        suffix_zero=tuple(suffix_zero),
-    )
+    # summed from the last coordinate down; log1p(-1) would raise
+    logs = [math.log1p(-x) if x < 1.0 else -math.inf for x in reversed(d)]
+    suffix_log = tuple(itertools.accumulate(logs, initial=0.0))[::-1]
+    pr_diff = -math.expm1(suffix_log[0]) + 0.0
+    return GreedyCouplingStats(d=d, pr_diff=pr_diff, suffix_log=suffix_log)
 
 
 class _PairTables:
@@ -387,39 +418,6 @@ def _select(
             np.put(out, over, q - 1 - np.argmax(grew[::-1], axis=0))
 
 
-class _Workspace:
-    """Buffers for panels of up to ``width`` draws, allocated once per run.
-
-    Rows of doubles, flags and category indices; :meth:`panel` views the
-    leading entries of every row in a panel's shape, so a run touches fresh
-    pages once rather than once per panel.
-    """
-
-    __slots__ = ("floats", "flags", "picks")
-
-    def __init__(self, width: int, *, floats: int, flags: int, picks: int) -> None:
-        self.floats = np.empty((floats, width))
-        self.flags = np.empty((flags, width), dtype=bool)
-        self.picks = np.empty((picks, width), dtype=np.intp)
-
-    def panel(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(floats, flags, picks)``, each ``(rows, *shape)``, for one panel."""
-        count = shape[0] * shape[1]
-        return (
-            self.floats[:, :count].reshape(-1, *shape),
-            self.flags[:, :count].reshape(-1, *shape),
-            self.picks[:, :count].reshape(-1, *shape),
-        )
-
-
-def _kernel_workspace(
-    tables: _PairTables, stats: GreedyCouplingStats, width: int, *, want_assignments: bool
-) -> _Workspace:
-    """The buffers :func:`_sample_block` needs for panels of up to ``width`` draws."""
-    picks = 1 + stats.n if want_assignments else 1
-    return _Workspace(width, floats=5 + tables.max_q, flags=2, picks=picks)
-
-
 def _step_weights(
     tables: _PairTables,
     k: int,
@@ -497,33 +495,31 @@ def _f_stage(
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _sample_block(
+def _sample_panels(
     tables: _PairTables,
     stats: GreedyCouplingStats,
     steps: list[int],
-    rows: Iterator[np.ndarray],
-    shape: tuple[int, int],
+    seed: int,
+    count: int,
     *,
-    work: _Workspace,
     want_assignments: bool,
-    want_f: bool,
-    check_invariants: bool,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Draw a panel of outcomes from the conditional disagreement law.
+    check_invariants: bool = False,
+    prefetch: bool = False,
+) -> Iterator[np.ndarray]:
+    """Draw ``count`` outcomes from the conditional disagreement law.
 
-    ``shape`` is ``(blocks, size)``: the panel's blocks of ``size`` draws
-    each, stepped side by side. Every operation acts on each draw alone, so
-    a draw's result does not depend on the panel it is stepped in. Returns
-    ``(assignments, f)`` where ``assignments`` is a 0-based ``(n, *shape)``
-    selection array (one row per coordinate) and ``f`` the per-sample
-    estimate values, each only when requested; both are views into
-    ``work`` (see :func:`_kernel_workspace`) and are overwritten by the
-    next call. ``steps`` lists the 0-based coordinates to step, ascending,
-    and ``rows`` yields one ``shape`` array of uniforms for each, which the
-    step overwrites. A step fills the cumulative weights
+    Runs the plan of :func:`_draw_panels` and yields, for each panel of
+    ``(blocks, size)`` draws, either its 0-based ``(n, blocks, size)``
+    selections (one row per coordinate) when ``want_assignments`` is set, or
+    its per-sample estimate values ``f``; both are views the next panel
+    overwrites. Every operation acts on each draw alone, so a draw's result
+    does not depend on the panel it is stepped in. ``steps`` lists the
+    0-based coordinates to step, ascending, each consuming one row of
+    uniforms, which the step overwrites. A step fills the cumulative weights
     (:func:`_step_weights`), one row per category, and selects; a binary
     coordinate costs two weight rows and one comparison. :func:`_f_stage`
-    turns the accumulated log ratios into ``f``.
+    turns the accumulated log ratios into ``f``. ``check_invariants`` is as
+    in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
 
     Assignments and invariant checks need every coordinate stepped. When
     only ``f`` is requested, coordinates with ``d_k = 0`` may be left out:
@@ -531,52 +527,55 @@ def _sample_block(
     later weight can change, and the step's total equals the disagreement
     factor the previous step chose, which is positive.
     """
-    suffix = [
-        -math.inf if zero else log
-        for zero, log in zip(stats.suffix_zero, stats.suffix_log)
-    ]
-    floats, (flag, qp_any), picks = work.panel(shape)
-    log_a, t_qp, exponent, shared, scratch = floats[:5]
-    cum = floats[5:]
-    chosen = picks[0]
-    selections = picks[1:] if want_assignments else None
-    log_a.fill(0.0)
-    if want_f:
-        t_qp.fill(0.0)
-        qp_any.fill(False)
+    suffix = stats.suffix_log
+    for rows, floats, (flag, qp_any), picks in _draw_panels(
+        seed,
+        count,
+        steps,
+        stats.n,
+        floats=5 + tables.max_q,
+        flags=2,
+        picks=stats.n if want_assignments else 1,
+        prefetch=prefetch,
+    ):
+        log_a, t_qp, exponent, shared, scratch = floats[:5]
+        cum = floats[5:]
+        log_a.fill(0.0)
+        if not want_assignments:
+            t_qp.fill(0.0)
+            qp_any.fill(False)
 
-    for k, uniform in zip(steps, rows):
-        lo, hi = tables.bounds[k], tables.bounds[k + 1]
-        _step_weights(tables, k, log_a, suffix[k + 1], cum, exponent, shared)
-        q_k = hi - lo
-        total = cum[q_k - 1]
-        total_low = float(total.min())
-        if not total_low > 0.0:
-            raise DegenerateConditional(
-                f"step {k + 1}: conditional weights sum to a non-positive value"
-            )
-        if check_invariants:
-            normalizer = -np.expm1(log_a + suffix[k])
-            gap = float(np.abs(total - normalizer).max())
-            if gap > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
+        for k, uniform in zip(steps, rows):
+            lo, hi = tables.bounds[k], tables.bounds[k + 1]
+            _step_weights(tables, k, log_a, suffix[k + 1], cum, exponent, shared)
+            q_k = hi - lo
+            total = cum[q_k - 1]
+            total_low = float(total.min())
+            if not total_low > 0.0:
                 raise DegenerateConditional(
-                    f"step {k + 1}: weight sum deviates from its normalizer by {gap:g}"
+                    f"step {k + 1}: conditional weights sum to a non-positive value"
                 )
+            if check_invariants:
+                normalizer = -np.expm1(log_a + suffix[k])
+                gap = float(np.abs(total - normalizer).max())
+                if gap > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
+                    raise DegenerateConditional(
+                        f"step {k + 1}: weight sum deviates from its normalizer by {gap:g}"
+                    )
 
-        threshold = np.multiply(uniform, total, out=uniform)
-        picked = selections[k] if want_assignments else chosen
-        _select(cum[:q_k], threshold, total_low, picked, flag)
-        log_r_k = tables.log_r[lo:hi]
-        np.add(log_a, log_r_k.take(picked, out=scratch, mode="clip"), out=log_a)
-        if want_f:
-            log_qp_k = tables.log_qp[lo:hi]
-            np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
-            if tables.q_zero_in[k]:
-                q_zero_k = tables.q_zero[lo:hi].take(picked, out=flag, mode="clip")
-                np.logical_or(qp_any, q_zero_k, out=qp_any)
+            threshold = np.multiply(uniform, total, out=uniform)
+            picked = picks[k] if want_assignments else picks[0]
+            _select(cum[:q_k], threshold, total_low, picked, flag)
+            log_r_k = tables.log_r[lo:hi]
+            np.add(log_a, log_r_k.take(picked, out=scratch, mode="clip"), out=log_a)
+            if not want_assignments:
+                log_qp_k = tables.log_qp[lo:hi]
+                np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
+                if tables.q_zero_in[k]:
+                    q_zero_k = tables.q_zero[lo:hi].take(picked, out=flag, mode="clip")
+                    np.logical_or(qp_any, q_zero_k, out=qp_any)
 
-    f = _f_stage(log_a, t_qp, qp_any, flag, exponent) if want_f else None
-    return selections, f
+        yield picks if want_assignments else _f_stage(log_a, t_qp, qp_any, flag, exponent)
 
 
 def sample_pi_batch(
@@ -597,32 +596,24 @@ def sample_pi_batch(
     """
     require_same_shape(p, q)
     check_seed(seed)
-    if count < 1:
-        raise InvalidParameter(f"count must be positive, got {count}")
+    count = check_count("count", count)
     if stats.pr_diff == 0.0:
         raise IdenticalDistributions(
             "the distributions are identical; the conditional law is undefined"
         )
     tables = _PairTables(p, q)
     out = np.empty((count, p.n), dtype=np.int64)
-    steps = list(range(p.n))
-    panels = _panels(block_sizes(count))
-    work = _kernel_workspace(tables, stats, _widest(panels), want_assignments=True)
-    rows = _panel_rows(seed, panels, _stream_runs(steps, p.n), prefetch=False)
     offset = 0
-    for _, blocks, size in panels:
-        selections, _ = _sample_block(
-            tables,
-            stats,
-            steps,
-            rows,
-            (blocks, size),
-            work=work,
-            want_assignments=True,
-            want_f=False,
-            check_invariants=check_invariants,
-        )
-        drawn = blocks * size
+    for selections in _sample_panels(
+        tables,
+        stats,
+        list(range(p.n)),
+        seed,
+        count,
+        want_assignments=True,
+        check_invariants=check_invariants,
+    ):
+        drawn = selections[0].size
         np.add(selections.reshape(p.n, drawn).T, 1, out=out[offset : offset + drawn])
         offset += drawn
     return out

@@ -22,24 +22,20 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import (
+    _draw_panels,
     _f_stage,
-    _kernel_workspace,
     _PairTables,
-    _panel_rows,
-    _panels,
-    _sample_block,
+    _sample_panels,
     _select,
-    _stream_runs,
-    _widest,
-    _Workspace,
-    block_sizes,
     build_stats,
+    check_count,
     check_seed,
 )
 from .distributions import (
@@ -73,14 +69,11 @@ class EstimatorConfig:
         if not 0.0 < self.delta < 1.0:
             raise InvalidParameter(f"delta must be in (0, 1), got {self.delta!r}")
         check_seed(self.seed)
-        if self.samples_override is not None and (
-            not isinstance(self.samples_override, int) or self.samples_override < 1
-        ):
-            raise InvalidParameter(
-                f"samples_override must be a positive int, got {self.samples_override!r}"
-            )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise InvalidParameter(f"workers must be an int >= 1, got {self.workers!r}")
+        # stored as plain ints, so a numpy integer reports like any other
+        if self.samples_override is not None:
+            samples = check_count("samples_override", self.samples_override)
+            object.__setattr__(self, "samples_override", samples)
+        object.__setattr__(self, "workers", check_count("workers", self.workers))
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,17 @@ class EstimateResult:
     pr_diff: float
     per_coordinate_tv: tuple[float, ...]
     elapsed_seconds: float
+
+
+def _block_mean(panels: Iterable[np.ndarray], count: int) -> float:
+    """Mean of ``count`` values given as ``(blocks, size)`` panels.
+
+    The one merge of both estimators: one error-free sum per block, then
+    one over the block sums in block order, so the result never depends on
+    how blocks were grouped into panels.
+    """
+    sums = (math.fsum(memoryview(block)) for panel in panels for block in panel)
+    return math.fsum(sums) / count
 
 
 def sample_count(n: int, epsilon: float, delta: float) -> int:
@@ -159,12 +163,15 @@ def estimate_tv(
     """Estimate tv(P, Q) to relative error epsilon with confidence 1 - delta.
 
     Identical inputs short-circuit to an exact 0 with no sampling.
-    Otherwise ``m`` draws (derived via :func:`sample_count` unless
-    overridden) are processed in fixed blocks; block ``b`` uses the RNG
-    stream derived from ``(seed, b)`` and contributes an error-free partial
-    sum, merged in block order. The result is therefore reproducible and
+    Otherwise the kernel (:func:`~tvdist.coupling._sample_panels`) draws
+    ``m`` outcomes (derived via :func:`sample_count` unless overridden) in
+    fixed blocks; block ``b`` uses the RNG stream derived from ``(seed, b)``
+    and contributes an error-free partial sum, merged in block order by
+    :func:`_block_mean`. The result is therefore reproducible and
     independent of ``workers``, which only decides whether the uniforms are
-    filled ahead on a second thread.
+    filled ahead on a second thread. Coordinates with ``d_i = 0`` are not
+    stepped, and one with ``d_i = 1`` makes its suffix logs ``-inf`` and
+    ``pr_diff`` exactly 1.
     """
     start = time.perf_counter()
     stats = build_stats(p, q)
@@ -177,38 +184,18 @@ def estimate_tv(
             per_coordinate_tv=stats.d,
             elapsed_seconds=time.perf_counter() - start,
         )
-    m = (
-        config.samples_override
-        if config.samples_override is not None
-        else sample_count(p.n, config.epsilon, config.delta)
-    )
+    m = config.samples_override or sample_count(p.n, config.epsilon, config.delta)
     tables = _PairTables(p, q)
-    panels = _panels(block_sizes(m))
-    work = _kernel_workspace(tables, stats, _widest(panels), want_assignments=False)
-    # d_k = 0 coordinates cannot change f (see _sample_block)
+    # d_k = 0 coordinates cannot change f (see _sample_panels)
     steps = [k for k, d in enumerate(stats.d) if d != 0.0]
-    runs = _stream_runs(steps, p.n)
-    partials = []
     prefetch = config.workers > 1
-    with closing(_panel_rows(config.seed, panels, runs, prefetch=prefetch)) as rows:
-        for _, blocks, size in panels:
-            _, f = _sample_block(
-                tables,
-                stats,
-                steps,
-                rows,
-                (blocks, size),
-                work=work,
-                want_assignments=False,
-                want_f=True,
-                check_invariants=False,
-            )
-            # one error-free sum per block, in block order
-            partials.extend(math.fsum(memoryview(block)) for block in f)
-    mean_f = math.fsum(partials) / m
-    estimate = mean_f * stats.pr_diff
+    f_panels = _sample_panels(
+        tables, stats, steps, config.seed, m, want_assignments=False, prefetch=prefetch
+    )
+    with closing(f_panels):
+        mean_f = _block_mean(f_panels, m)
     return EstimateResult(
-        estimate=estimate,
+        estimate=mean_f * stats.pr_diff,
         mean_f=mean_f,
         samples_used=m,
         pr_diff=stats.pr_diff,
@@ -230,32 +217,31 @@ def naive_estimate_tv(
     start = time.perf_counter()
     d = coordinate_tvs(p, q)
     check_seed(seed)
-    if samples < 1:
-        raise InvalidParameter(f"samples must be positive, got {samples}")
+    samples = check_count("samples", samples)
     tables = _PairTables(p, q)
     bounds = list(zip(tables.bounds, tables.bounds[1:]))
     # a coordinate whose Q/P ratios are all exactly 1 cannot change g
     moves = np.logical_or.reduceat((tables.log_qp != 0.0) | tables.q_zero, p.offsets[:-1])
     steps = np.flatnonzero(moves).tolist()
     cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
-    panels = _panels(block_sizes(samples))
-    work = _Workspace(_widest(panels), floats=1, flags=2, picks=1)
-    rows = _panel_rows(seed, panels, _stream_runs(steps, p.n), prefetch=False)
-    partials = []
-    for _, blocks, size in panels:
-        (log_qp,), (q_zero, flag), (chosen,) = work.panel((blocks, size))
-        log_qp.fill(0.0)
-        q_zero.fill(False)
-        for k, uniform in zip(steps, rows):
-            (lo, hi), cum = bounds[k], cums[k]
-            threshold = np.multiply(uniform, cum[-1], out=uniform)
-            _select(cum, threshold, cum[-1], chosen, flag)
-            q_zero |= tables.q_zero[lo:hi][chosen]
-            log_qp += tables.log_qp[lo:hi][chosen]
-        with np.errstate(over="ignore"):
-            g = np.where(q_zero, 1.0, np.maximum(-np.expm1(log_qp), 0.0))
-        partials.extend(math.fsum(memoryview(block)) for block in g)
-    mean_g = math.fsum(partials) / samples
+
+    def g_panels() -> Iterator[np.ndarray]:
+        for rows, (log_qp,), (q_zero, flag), (chosen,) in _draw_panels(
+            seed, samples, steps, p.n, floats=1, flags=2, picks=1
+        ):
+            log_qp.fill(0.0)
+            q_zero.fill(False)
+            for k, uniform in zip(steps, rows):
+                (lo, hi), cum = bounds[k], cums[k]
+                threshold = np.multiply(uniform, cum[-1], out=uniform)
+                _select(cum, threshold, cum[-1], chosen, flag)
+                q_zero |= tables.q_zero[lo:hi][chosen]
+                log_qp += tables.log_qp[lo:hi][chosen]
+            with np.errstate(over="ignore"):
+                g = np.where(q_zero, 1.0, np.maximum(-np.expm1(log_qp), 0.0))
+            yield g
+
+    mean_g = _block_mean(g_panels(), samples)
     return EstimateResult(
         estimate=mean_g,
         mean_f=mean_g,

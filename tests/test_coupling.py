@@ -41,6 +41,15 @@ def test_build_stats_disjoint_coordinate_forces_certain_disagreement():
     assert stats.pr_diff == 1.0
     assert stats.suffix[0] == 0.0
     assert stats.suffix[1] == 1.0  # the d = 1 coordinate is not in this suffix
+    # the zero flag: a log of -inf from the d = 1 coordinate down
+    assert stats.suffix_log == (-math.inf, 0.0, 0.0)
+    # a d = 1 coordinate third: every suffix that holds it is flagged
+    p = tv.validate([[0.5, 0.5], [0.3, 0.7], [1.0, 0.0], [0.6, 0.4]])
+    q = tv.validate([[0.4, 0.6], [0.3, 0.7], [0.0, 1.0], [0.5, 0.5]])
+    stats = tv.build_stats(p, q)
+    assert stats.suffix_log == (-math.inf,) * 3 + (math.log1p(-stats.d[3]), 0.0)
+    assert stats.suffix[:3] == (0.0,) * 3
+    assert stats.pr_diff == 1.0
 
 
 def test_suffix_recurrence_and_bounds():
@@ -78,11 +87,10 @@ def _kernel_weights(p, q, k, log_a):
     from tvdist.coupling import _PairTables, _step_weights
 
     stats = tv.build_stats(p, q)
-    log_b = -math.inf if stats.suffix_zero[k + 1] else stats.suffix_log[k + 1]
     log_a = np.asarray(log_a, dtype=float)
     cum = np.empty((p.domain_sizes[k], log_a.size))
     scratch = np.empty((2, log_a.size))
-    _step_weights(_PairTables(p, q), k, log_a, log_b, cum, *scratch)
+    _step_weights(_PairTables(p, q), k, log_a, stats.suffix_log[k + 1], cum, *scratch)
     return np.diff(cum, axis=0, prepend=0.0), cum[-1]
 
 
@@ -110,24 +118,13 @@ def test_conditional_weights_zero_probability_category():
 
 def test_step_normalizer_degenerate_on_identical():
     """The kernel rejects a step whose weights sum to 0."""
-    from tvdist.coupling import _kernel_workspace, _PairTables, _sample_block
+    from tvdist.coupling import _PairTables, _sample_panels
 
     p = tv.validate([[0.5, 0.5]])
     stats = tv.build_stats(p, p)
-    tables = _PairTables(p, p)
-    work = _kernel_workspace(tables, stats, 4, want_assignments=False)
+    panels = _sample_panels(_PairTables(p, p), stats, [0], 7, 4, want_assignments=False)
     with pytest.raises(DegenerateConditional):
-        _sample_block(
-            tables,
-            stats,
-            [0],
-            iter([np.full((1, 4), 0.5)]),
-            (1, 4),
-            work=work,
-            want_assignments=False,
-            want_f=True,
-            check_invariants=False,
-        )
+        next(panels)
 
 
 def _chain_probabilities(p, q, states):
@@ -429,14 +426,13 @@ def test_filling_thread_error_reaches_caller_and_stops(monkeypatch):
 
 def test_reader_error_stops_filling_thread(monkeypatch):
     """A kernel error on the calling thread leaves no filling thread running."""
-    from tvdist import estimator
+    from tvdist import coupling
     from tvdist.errors import ZeroDenominator
 
-    def failing_block(tables, stats, steps, rows, shape, **_):
-        next(rows)
+    def failing_weights(*_):  # called once the step's row has been read
         raise ZeroDenominator("kernel failed")
 
-    monkeypatch.setattr(estimator, "_sample_block", failing_block)
+    monkeypatch.setattr(coupling, "_step_weights", failing_weights)
     p = tv.validate([[0.5, 0.5]] * 100)
     q = tv.validate([[0.52, 0.48]] * 100)
     before = set(threading.enumerate())
@@ -444,6 +440,27 @@ def test_reader_error_stops_filling_thread(monkeypatch):
     with pytest.raises(ZeroDenominator, match="kernel failed"):
         tv.estimate_tv(p, q, config)
     assert set(threading.enumerate()) == before
+
+
+def test_closing_kernel_early_stops_filling_thread():
+    """Closing the kernel after its first panel, with the next chunk being
+    filled ahead, leaves no filling thread running."""
+    from tvdist.coupling import _PairTables, _sample_panels
+
+    def uniform_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("tvdist-uniforms")]
+
+    p = tv.validate([[0.5, 0.5]] * 100)
+    q = tv.validate([[0.52, 0.48]] * 100)
+    tables, stats = _PairTables(p, q), tv.build_stats(p, q)
+    steps = list(range(100))
+    panels = _sample_panels(
+        tables, stats, steps, 3, 9 * 4096, want_assignments=False, prefetch=True
+    )
+    assert next(panels).shape == (4, 4096)
+    assert len(uniform_threads()) == 1
+    panels.close()
+    assert uniform_threads() == []
 
 
 def test_prefetch_stress_keeps_bits(monkeypatch):

@@ -192,6 +192,33 @@ def test_estimator_config_validation():
         tv.EstimatorConfig(epsilon=0.1, delta=0.1, seed=1, workers=0)
 
 
+#: Every entry point's draw or worker count, as a call on ``(p, q, n)``
+#: returning the count it used.
+COUNT_ENTRIES = {
+    "samples_override": lambda p, q, n: tv.estimate_tv(
+        p, q, tv.EstimatorConfig(0.1, 0.05, seed=4, samples_override=n)
+    ).samples_used,
+    "workers": lambda p, q, n: tv.EstimatorConfig(0.1, 0.05, seed=4, workers=n).workers,
+    "naive samples": lambda p, q, n: tv.naive_estimate_tv(p, q, n, 4).samples_used,
+    "count": lambda p, q, n: len(tv.sample_pi_batch(p, q, tv.build_stats(p, q), 4, n)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+@pytest.mark.parametrize(
+    "value", [True, False, np.True_, 100.0, 3.0, "5", 0, -3, np.int64(0)], ids=repr
+)
+def test_counts_reject_bools_non_integers_and_non_positive(bernoulli_pair, entry, value):
+    with pytest.raises(InvalidParameter, match="must be"):
+        COUNT_ENTRIES[entry](*bernoulli_pair, value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_counts_take_numpy_integers_as_plain_ints(bernoulli_pair, entry):
+    got = COUNT_ENTRIES[entry](*bernoulli_pair, np.int64(5))
+    assert type(got) is int and got == 5
+
+
 # --- naive baseline ---------------------------------------------------------
 
 
