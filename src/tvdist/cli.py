@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "2 or more: one other thread fills uniforms ahead of the caller, "
-            "which pays off only when many coordinates need uniforms; more "
-            "than 2 adds nothing; never changes the result"
+            "which pays off only when many coordinates need uniforms and a "
+            "second core is free; more than 2 adds nothing; never changes "
+            "the result"
         ),
     )
 

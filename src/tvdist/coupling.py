@@ -90,24 +90,28 @@ _MAX_SEED = 2**64
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed and return it as a plain int."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidParameter(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= seed < _MAX_SEED:
-        raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
-    return int(seed)
-
-
-def check_count(name: str, value: int) -> int:
-    """Validate a positive count of draws or workers and return it as a plain int."""
+def _check_integer(name: str, value: int) -> int:
+    """Return a Python or numpy integer (not a bool) as a plain int."""
     if isinstance(value, bool):
         raise InvalidParameter(f"{name} must be an integer, got bool")
     try:
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         kind = type(value).__name__
         raise InvalidParameter(f"{name} must be an integer, got {kind}") from None
+
+
+def check_seed(seed: int) -> int:
+    """Validate a 64-bit unsigned seed and return it as a plain int."""
+    seed = _check_integer("seed", seed)
+    if not 0 <= seed < _MAX_SEED:
+        raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def check_count(name: str, value: int) -> int:
+    """Validate a positive count and return it as a plain int."""
+    count = _check_integer(name, value)
     if count < 1:
         raise InvalidParameter(f"{name} must be >= 1, got {count}")
     return count

@@ -53,8 +53,9 @@ class EstimatorConfig:
     ``samples_override`` replaces the derived sample count when set. With
     ``workers >= 2`` one other thread fills the uniforms ahead of the calling
     thread's arithmetic, which pays off only when many coordinates need
-    uniforms; more than 2 adds nothing while that arithmetic holds the
-    interpreter lock. The worker count never changes the result.
+    uniforms and a second core is free; more than 2 adds nothing while that
+    arithmetic holds the interpreter lock. The worker count never changes
+    the result.
     """
 
     epsilon: float
@@ -64,12 +65,9 @@ class EstimatorConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidParameter(f"epsilon must be positive, got {self.epsilon!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidParameter(f"delta must be in (0, 1), got {self.delta!r}")
-        check_seed(self.seed)
+        _check_accuracy(self.epsilon, self.delta)
         # stored as plain ints, so a numpy integer reports like any other
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.samples_override is not None:
             samples = check_count("samples_override", self.samples_override)
             object.__setattr__(self, "samples_override", samples)
@@ -104,6 +102,14 @@ def _block_mean(panels: Iterable[np.ndarray], count: int) -> float:
     return math.fsum(sums) / count
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    """Require a finite positive ``epsilon`` and a ``delta`` in (0, 1)."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < delta < 1.0:
+        raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
+
+
 def sample_count(n: int, epsilon: float, delta: float) -> int:
     """Number of draws needed for a (1 +- epsilon) answer with confidence 1 - delta.
 
@@ -113,10 +119,7 @@ def sample_count(n: int, epsilon: float, delta: float) -> int:
     """
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
+    _check_accuracy(epsilon, delta)
     target = min(delta, 0.5)
     return math.ceil((n * n) / (epsilon * epsilon) * math.log(1.0 / target)) + 1
 

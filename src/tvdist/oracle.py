@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .coupling import check_count
 from .distributions import (
     Assignment,
     ProductDistribution,
@@ -38,6 +39,9 @@ class EnumerationBudget:
     """Cap on the number of states an oracle call may enumerate."""
 
     max_states: int = DEFAULT_MAX_STATES
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_states", check_count("max_states", self.max_states))
 
 
 def _check_budget(p: ProductDistribution, budget: EnumerationBudget | None) -> None:

@@ -219,6 +219,37 @@ def test_counts_take_numpy_integers_as_plain_ints(bernoulli_pair, entry):
     assert type(got) is int and got == 5
 
 
+#: Every entry point's seed, as a call on ``(p, q, seed)`` returning the
+#: bits of its result.
+SEED_ENTRIES = {
+    "EstimatorConfig": lambda p, q, s: tv.estimate_tv(
+        p, q, tv.EstimatorConfig(0.1, 0.05, seed=s, samples_override=5000)
+    ).mean_f.hex(),
+    "naive_estimate_tv": lambda p, q, s: tv.naive_estimate_tv(p, q, 5000, s).mean_f.hex(),
+    "sample_pi_batch": lambda p, q, s: tv.sample_pi_batch(
+        p, q, tv.build_stats(p, q), s, 500
+    ).tobytes(),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_seeds_take_numpy_integers_as_plain_ints(bernoulli_pair, entry):
+    run = SEED_ENTRIES[entry]
+    for plain, kinds in ((3, (np.int64, np.uint64, np.int32)), (2**64 - 1, (np.uint64,))):
+        expected = run(*bernoulli_pair, plain)
+        for kind in kinds:
+            assert run(*bernoulli_pair, kind(plain)) == expected, (plain, kind)
+    config = tv.EstimatorConfig(0.1, 0.05, seed=np.uint64(3))
+    assert type(config.seed) is int and config.seed == 3
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+@pytest.mark.parametrize("value", [True, np.True_, 3.0, "5", -1, 2**64], ids=repr)
+def test_seeds_reject_bools_non_integers_and_out_of_range(bernoulli_pair, entry, value):
+    with pytest.raises(InvalidParameter, match="seed must be"):
+        SEED_ENTRIES[entry](*bernoulli_pair, value)
+
+
 # --- naive baseline ---------------------------------------------------------
 
 

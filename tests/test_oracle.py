@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tvdist as tv
-from tvdist.errors import BudgetExceeded, IdenticalDistributions
+from tvdist.errors import BudgetExceeded, IdenticalDistributions, InvalidParameter
 
 from conftest import BERNOULLI_P, BERNOULLI_Q, all_states, brute_tv
 
@@ -37,6 +37,17 @@ def test_exact_tv_budget():
     with pytest.raises(BudgetExceeded):
         tv.exact_tv(small_p, small_q, tv.EnumerationBudget(max_states=4))
     assert tv.exact_tv(small_p, small_q, tv.EnumerationBudget(max_states=8)) > 0.0
+
+
+@pytest.mark.parametrize("cap", ["x", None, 2.5, True, 0, -5], ids=repr)
+def test_budget_rejects_a_cap_that_is_not_a_positive_integer(cap):
+    with pytest.raises(InvalidParameter, match="max_states must be"):
+        tv.EnumerationBudget(max_states=cap)
+
+
+def test_budget_takes_a_numpy_integer_cap():
+    budget = tv.EnumerationBudget(max_states=np.int64(8))
+    assert type(budget.max_states) is int and budget.max_states == 8
 
 
 def test_exact_sum_positive_part(bernoulli_pair):
