@@ -7,14 +7,7 @@ verification.
 """
 
 from .coupling import GreedyCouplingStats, build_stats, sample_pi_batch
-from .distributions import (
-    Assignment,
-    CategoricalMarginal,
-    ProductDistribution,
-    are_identical,
-    coordinate_tv,
-    validate,
-)
+from .distributions import ProductDistribution, are_identical, validate
 from .errors import (
     BudgetExceeded,
     DegenerateConditional,
@@ -28,6 +21,7 @@ from .errors import (
     InvalidParameter,
     MarginalNotNormalized,
     NegativeProbability,
+    SlackOnlyDifference,
     TvdistError,
     ValidationError,
     ZeroDenominator,
@@ -46,8 +40,7 @@ __version__ = "0.1.0"
 #: The oracle's names, imported on first access: CLI commands other than
 #: ``exact`` then never load ``fractions`` and ``decimal``.
 _ORACLE_NAMES = frozenset(
-    "EnumerationBudget exact_expectation_f exact_pi exact_sum_positive_part "
-    "exact_tv random_instance_pair random_instances".split()
+    "EnumerationBudget exact_expectation_f exact_pi exact_tv".split()
 )
 
 
@@ -60,9 +53,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Assignment",
     "BudgetExceeded",
-    "CategoricalMarginal",
     "DegenerateConditional",
     "DomainMismatch",
     "EmptyInput",
@@ -79,21 +70,18 @@ __all__ = [
     "MarginalNotNormalized",
     "NegativeProbability",
     "ProductDistribution",
+    "SlackOnlyDifference",
     "TvdistError",
     "ValidationError",
     "ZeroDenominator",
     "are_identical",
     "build_stats",
-    "coordinate_tv",
     "estimate_tv",
     "estimator_f",
     "exact_expectation_f",
     "exact_pi",
-    "exact_sum_positive_part",
     "exact_tv",
     "naive_estimate_tv",
-    "random_instance_pair",
-    "random_instances",
     "sample_count",
     "sample_pi_batch",
     "validate",

@@ -50,7 +50,6 @@ import operator
 from collections.abc import Callable, Iterator
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -124,10 +123,10 @@ def block_rng(seed: int, block: int) -> Generator:
     return Generator(Philox(SeedSequence([check_seed(seed), int(block)])))
 
 
-def block_sizes(count: int, block: int = SAMPLE_BLOCK) -> list[int]:
+def block_sizes(count: int) -> list[int]:
     """Split ``count`` draws into fixed-size blocks (last one may be short)."""
-    full, rest = divmod(count, block)
-    return [block] * full + ([rest] if rest else [])
+    full, rest = divmod(count, SAMPLE_BLOCK)
+    return [SAMPLE_BLOCK] * full + ([rest] if rest else [])
 
 
 def _stream_runs(steps: list[int], n: int) -> list[tuple[int, int]]:
@@ -301,7 +300,6 @@ class GreedyCouplingStats:
     ``k = 0..n`` (so ``suffix_log[n] = 0`` and ``pr_diff = 1 - B_0``). It is
     ``-inf`` wherever a ``d_i = 1`` coordinate lies in the suffix, making
     ``B_k`` exactly 0: the zero flag :class:`_PairTables` uses too.
-    ``suffix`` gives the products ``B_k`` themselves.
     """
 
     d: tuple[float, ...]
@@ -311,10 +309,6 @@ class GreedyCouplingStats:
     @property
     def n(self) -> int:
         return len(self.d)
-
-    @cached_property
-    def suffix(self) -> tuple[float, ...]:
-        return tuple(math.exp(s) for s in self.suffix_log)
 
 
 def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplingStats:
@@ -531,7 +525,7 @@ def _sample_panels(
     later weight can change, and the step's total equals the disagreement
     factor the previous step chose, which is positive.
     """
-    suffix = stats.suffix_log
+    suffix_log = stats.suffix_log
     for rows, floats, (flag, qp_any), picks in _draw_panels(
         seed,
         count,
@@ -551,7 +545,7 @@ def _sample_panels(
 
         for k, uniform in zip(steps, rows):
             lo, hi = tables.bounds[k], tables.bounds[k + 1]
-            _step_weights(tables, k, log_a, suffix[k + 1], cum, exponent, shared)
+            _step_weights(tables, k, log_a, suffix_log[k + 1], cum, exponent, shared)
             q_k = hi - lo
             total = cum[q_k - 1]
             total_low = float(total.min())
@@ -560,7 +554,7 @@ def _sample_panels(
                     f"step {k + 1}: conditional weights sum to a non-positive value"
                 )
             if check_invariants:
-                normalizer = -np.expm1(log_a + suffix[k])
+                normalizer = -np.expm1(log_a + suffix_log[k])
                 gap = float(np.abs(total - normalizer).max())
                 if gap > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
                     raise DegenerateConditional(
@@ -593,10 +587,10 @@ def sample_pi_batch(
 ) -> np.ndarray:
     """Draw ``count`` independent conditional outcomes as a ``(count, n)`` array.
 
-    Rows are draws; entries are 1-based categories, matching
-    :class:`~tvdist.distributions.Assignment`. With ``check_invariants``
-    every sampling step verifies that its weights sum to the analytic
-    normalizer within :data:`WEIGHT_SUM_TOL`.
+    Rows are draws; entries are 1-based categories, and ``tuple(row)`` is
+    the key :func:`~tvdist.oracle.exact_pi` gives that outcome. With
+    ``check_invariants`` every sampling step verifies that its weights sum
+    to the analytic normalizer within :data:`WEIGHT_SUM_TOL`.
     """
     require_same_shape(p, q)
     check_seed(seed)

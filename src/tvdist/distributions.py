@@ -15,7 +15,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,19 +31,6 @@ from .errors import (
 #: admit hand-written decimal inputs while rejecting malformed vectors.
 NORMALIZATION_TOL = 1e-9
 
-@dataclass(frozen=True)
-class CategoricalMarginal:
-    """Probability vector of one coordinate, over categories ``{1, ..., q}``."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
-
-    @property
-    def domain_size(self) -> int:
-        return len(self.probs)
-
 
 @dataclass(frozen=True, eq=False)
 class ProductDistribution:
@@ -52,17 +38,12 @@ class ProductDistribution:
 
     ``probs`` is one read-only float64 array of every coordinate's vector in
     turn: coordinate ``k`` (0-based) owns ``probs[offsets[k]:offsets[k + 1]]``,
-    of length ``domain_sizes[k]``. ``marginals`` is built on first access.
+    of length ``domain_sizes[k]``.
     """
 
     probs: np.ndarray
     offsets: np.ndarray
     domain_sizes: tuple[int, ...]
-
-    @cached_property
-    def marginals(self) -> tuple[CategoricalMarginal, ...]:
-        values, ends = self.probs.tolist(), self.offsets.tolist()
-        return tuple(CategoricalMarginal(values[a:b]) for a, b in zip(ends, ends[1:]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ProductDistribution) and (
@@ -79,19 +60,6 @@ class ProductDistribution:
 
     def state_count(self) -> int:
         return math.prod(self.domain_sizes)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One outcome: ``values[i]`` is the 1-based category of coordinate ``i + 1``."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _row_floats(i: int, raw: Sequence[float]) -> tuple[float, ...]:
@@ -198,23 +166,13 @@ def check_assignment(dist: ProductDistribution, assignments: np.ndarray) -> np.n
     return values.astype(np.intp, copy=False)
 
 
-def coordinate_tv(p_i: CategoricalMarginal, q_i: CategoricalMarginal) -> float:
-    """Total variation distance between two marginals: half their L1 distance.
-
-    Exact-sum accumulation keeps the result exactly 0.0 for identical
-    vectors, which the identity short-circuit relies on.
-    """
-    if p_i.domain_size != q_i.domain_size:
-        raise DomainMismatch(
-            f"domain sizes differ ({p_i.domain_size} vs {q_i.domain_size})"
-        )
-    half_l1 = 0.5 * math.fsum(abs(a - b) for a, b in zip(p_i.probs, q_i.probs))
-    # Validation tolerance can push disjoint-support pairs a hair above 1.
-    return min(half_l1, 1.0)
-
-
 def coordinate_tvs(p: ProductDistribution, q: ProductDistribution) -> tuple[float, ...]:
-    """Each coordinate's :func:`coordinate_tv`, summed only where P and Q differ."""
+    """Each coordinate's TV distance: half the L1 distance of its two vectors.
+
+    Summed exactly, and only where P and Q differ, so identical vectors
+    give exactly 0.0, which the identity short-circuit relies on. Capped at
+    1, which the validation tolerance can pass on disjoint supports.
+    """
     require_same_shape(p, q)
     gap, bounds = np.abs(p.probs - q.probs), p.offsets.tolist()
     d = [0.0] * p.n

@@ -117,8 +117,7 @@ def sample_count(n: int, epsilon: float, delta: float) -> int:
     log and ``delta' = min(delta, 1/2)``; the clamp keeps the concentration
     argument valid for large delta at the cost of extra samples.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+    n = check_count("n", n)
     _check_accuracy(epsilon, delta)
     target = min(delta, 0.5)
     return math.ceil((n * n) / (epsilon * epsilon) * math.log(1.0 / target)) + 1

@@ -7,9 +7,6 @@ oracle values carry no rounding of their own and stay meaningful even for
 near-identical inputs; they are converted to float only on return. This
 keeps the oracle fully independent of the log-space paths it is used to
 check. Expect rational arithmetic to slow down near the default budget.
-
-Also home to the seeded random-instance generator used by the property
-suites, so cross-module checks are reproducible.
 """
 
 from __future__ import annotations
@@ -21,13 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .coupling import check_count
-from .distributions import (
-    Assignment,
-    ProductDistribution,
-    are_identical,
-    require_same_shape,
-    validate,
-)
+from .distributions import ProductDistribution, require_same_shape
 from .errors import BudgetExceeded, IdenticalDistributions
 from .estimator import estimator_f
 
@@ -44,15 +35,23 @@ class EnumerationBudget:
         object.__setattr__(self, "max_states", check_count("max_states", self.max_states))
 
 
-def _check_budget(p: ProductDistribution, budget: EnumerationBudget | None) -> None:
+def _checked_columns(
+    p: ProductDistribution,
+    q: ProductDistribution,
+    budget: EnumerationBudget | None,
+) -> list[list[list[Fraction]]]:
+    """Both inputs' columns as exact rationals, once their shapes and size pass."""
+    require_same_shape(p, q)
     limit = (budget if budget is not None else EnumerationBudget()).max_states
     states = p.state_count()
     if states > limit:
         raise BudgetExceeded(states, limit)
+    return [_fraction_columns(p), _fraction_columns(q)]
 
 
 def _fraction_columns(dist: ProductDistribution) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in m.probs] for m in dist.marginals]
+    values, ends = [Fraction(x) for x in dist.probs.tolist()], dist.offsets.tolist()
+    return [values[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _min_columns(
@@ -93,91 +92,67 @@ def _iter_states(
                 prefix[s][j + 1] = prefix[s][j] * columns[s][j][c]
 
 
-def _coordinate_tv_exact(p_col: list[Fraction], q_col: list[Fraction]) -> Fraction:
-    return sum((abs(a - b) for a, b in zip(p_col, q_col)), Fraction(0)) / 2
-
-
 def exact_tv(
     p: ProductDistribution,
     q: ProductDistribution,
     budget: EnumerationBudget | None = None,
 ) -> float:
     """Total variation distance, exactly: half the L1 distance over all states."""
-    require_same_shape(p, q)
-    _check_budget(p, budget)
     total = Fraction(0)
-    for _, (mass_p, mass_q) in _iter_states(
-        [_fraction_columns(p), _fraction_columns(q)]
-    ):
+    for _, (mass_p, mass_q) in _iter_states(_checked_columns(p, q, budget)):
         total += abs(mass_p - mass_q)
     return float(total / 2)
 
 
-def exact_sum_positive_part(
+def _disagreement_states(
     p: ProductDistribution,
     q: ProductDistribution,
-    budget: EnumerationBudget | None = None,
-) -> float:
-    """Sum of ``max{0, P(omega) - Q(omega)}``; equals the TV distance."""
-    require_same_shape(p, q)
-    _check_budget(p, budget)
-    total = Fraction(0)
-    for _, (mass_p, mass_q) in _iter_states(
-        [_fraction_columns(p), _fraction_columns(q)]
-    ):
-        if mass_p > mass_q:
-            total += mass_p - mass_q
-    return float(total)
-
-
-def _disagreement_states(
-    p: ProductDistribution, q: ProductDistribution
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    budget: EnumerationBudget | None,
+) -> list[tuple[tuple[int, ...], Fraction]]:
     """Per-state disagreement mass ``P(omega) - prod_i min(P_i, Q_i)(w_i)``.
 
     The mass is non-negative for every state (the agreement product is a
     product of pointwise-smaller factors); states with positive mass are
-    exactly the support of the conditional law.
+    exactly the support of the conditional law. Raises
+    :class:`IdenticalDistributions` if the inputs are equal, or if every
+    state's mass is zero.
     """
-    p_cols = _fraction_columns(p)
-    q_cols = _fraction_columns(q)
-    if all(
-        _coordinate_tv_exact(pc, qc) == 0 for pc, qc in zip(p_cols, q_cols)
-    ):
+    p_cols, q_cols = _checked_columns(p, q, budget)
+    if p_cols == q_cols:
         raise IdenticalDistributions(
             "the distributions are identical; the conditional law is undefined"
         )
-    for digits, (mass_p, agree_mass) in _iter_states(
-        [p_cols, _min_columns(p_cols, q_cols)]
-    ):
-        yield digits, mass_p - agree_mass
+    entries = [
+        (digits, mass_p - agree_mass)
+        for digits, (mass_p, agree_mass) in _iter_states(
+            [p_cols, _min_columns(p_cols, q_cols)]
+        )
+    ]
+    if not any(gap for _, gap in entries):
+        raise IdenticalDistributions(
+            "no disagreement mass: the inputs differ by less than their "
+            "normalization slack"
+        )
+    return entries
 
 
 def exact_pi(
     p: ProductDistribution,
     q: ProductDistribution,
     budget: EnumerationBudget | None = None,
-) -> dict[Assignment, float]:
+) -> dict[tuple[int, ...], float]:
     """The conditional disagreement law as an explicit table over all states.
 
+    Keys are tuples of 1-based categories, as ``tuple(row)`` of a
+    :func:`~tvdist.coupling.sample_pi_batch` row gives them.
     ``pi(omega)`` is the state's disagreement mass divided by the total
     over all states, so the entries sum to 1 exactly. (For marginals that
     sum to exactly 1 the total equals ``1 - prod_i (1 - d_i)``.) Requires
     P != Q.
     """
-    require_same_shape(p, q)
-    _check_budget(p, budget)
-    entries = list(_disagreement_states(p, q))
+    entries = _disagreement_states(p, q, budget)
     total = sum((gap for _, gap in entries), Fraction(0))
-    if total == 0:
-        raise IdenticalDistributions(
-            "no disagreement mass: the inputs differ by less than their "
-            "normalization slack"
-        )
-    return {
-        Assignment(tuple(c + 1 for c in digits)): float(gap / total)
-        for digits, gap in entries
-    }
+    return {tuple(c + 1 for c in digits): float(gap / total) for digits, gap in entries}
 
 
 def exact_expectation_f(
@@ -193,90 +168,10 @@ def exact_expectation_f(
     kernel's own f stage. Equals ``exact_tv / pr_diff`` up to the float
     rounding inside ``f``.
     """
-    require_same_shape(p, q)
-    _check_budget(p, budget)
-    support = [(digits, gap) for digits, gap in _disagreement_states(p, q) if gap > 0]
-    if not support:
-        raise IdenticalDistributions(
-            "no disagreement mass: the inputs differ by less than their "
-            "normalization slack"
-        )
+    support = [entry for entry in _disagreement_states(p, q, budget) if entry[1]]
     f = estimator_f(p, q, np.array([digits for digits, _ in support]) + 1)
     total = weighted = Fraction(0)
     for (_, gap), value in zip(support, f.tolist()):
         total += gap
         weighted += gap * Fraction(value)
     return float(weighted / total)
-
-
-_MARGINAL_KINDS = ("independent", "identical", "near", "disjoint", "sparse")
-
-
-def _random_marginal_pair(
-    rng: np.random.Generator, size: int
-) -> tuple[list[float], list[float]]:
-    if size == 1:
-        return [1.0], [1.0]
-    kind = _MARGINAL_KINDS[int(rng.integers(len(_MARGINAL_KINDS)))]
-    if kind == "identical":
-        a = rng.dirichlet(np.ones(size))
-        b = a.copy()
-    elif kind == "near":
-        a = rng.dirichlet(np.ones(size))
-        scale = 10.0 ** rng.uniform(-12.0, -6.0)
-        b = np.clip(a * (1.0 + scale * rng.standard_normal(size)), 0.0, None)
-        b /= b.sum()
-    elif kind == "disjoint":
-        cut = int(rng.integers(1, size))
-        order = rng.permutation(size)
-        a = np.zeros(size)
-        b = np.zeros(size)
-        a[order[:cut]] = rng.dirichlet(np.ones(cut))
-        b[order[cut:]] = rng.dirichlet(np.ones(size - cut))
-    elif kind == "sparse":
-        a = rng.dirichlet(np.ones(size))
-        b = rng.dirichlet(np.ones(size))
-        for vec in (a, b):
-            drop = rng.random(size) < 0.4
-            if drop.all():
-                drop[int(rng.integers(size))] = False
-            vec[drop] = 0.0
-            vec /= vec.sum()
-    else:
-        a = rng.dirichlet(np.ones(size))
-        b = rng.dirichlet(np.ones(size))
-    return a.tolist(), b.tolist()
-
-
-def random_instance_pair(
-    rng: np.random.Generator, max_n: int = 6, max_q: int = 4
-) -> tuple[ProductDistribution, ProductDistribution]:
-    """Seeded random (P, Q) pair for property suites, with P != Q guaranteed.
-
-    Mixes plain random, identical, near-identical, disjoint-support, and
-    sparse marginals; domain sizes vary per coordinate. Deterministic given
-    the generator's state.
-    """
-    n = int(rng.integers(1, max_n + 1))
-    sizes = [int(rng.integers(1, max_q + 1)) for _ in range(n)]
-    if all(s == 1 for s in sizes):
-        sizes[int(rng.integers(n))] = 2
-    while True:
-        left = []
-        right = []
-        for s in sizes:
-            a, b = _random_marginal_pair(rng, s)
-            left.append(a)
-            right.append(b)
-        p = validate(left)
-        q = validate(right)
-        if not are_identical(p, q):
-            return p, q
-
-
-def random_instances(
-    seed: int, count: int, max_n: int = 6, max_q: int = 4
-) -> list[tuple[ProductDistribution, ProductDistribution]]:
-    """Fixed-seed batch of instances; the protocol pinning all property suites."""
-    rng = np.random.default_rng(seed)
-    return [random_instance_pair(rng, max_n, max_q) for _ in range(count)]

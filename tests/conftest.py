@@ -2,7 +2,8 @@
 
 The brute-force helpers deliberately use plain floats and itertools
 enumeration so expected values never flow through the code paths under
-test.
+test. The seeded random-instance generator pins every property suite, so
+cross-module checks are reproducible.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import tvdist as tv
 from tvdist import cli
+from tvdist.distributions import ProductDistribution, are_identical, validate
 
 BERNOULLI_P = [[0.7, 0.3], [0.7, 0.3]]
 BERNOULLI_Q = [[0.4, 0.6], [0.4, 0.6]]
@@ -63,6 +66,17 @@ def bernoulli_pair() -> tuple[tv.ProductDistribution, tv.ProductDistribution]:
     return tv.validate(BERNOULLI_P), tv.validate(BERNOULLI_Q)
 
 
+def rows(dist) -> list[tuple[float, ...]]:
+    """Each coordinate's stored probability vector, split from the flat array."""
+    values, ends = dist.probs.tolist(), dist.offsets.tolist()
+    return [tuple(values[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def reference_coordinate_tv(p_row, q_row) -> float:
+    """Half the L1 distance of two vectors: one exact sum, capped at 1."""
+    return min(0.5 * math.fsum(abs(a - b) for a, b in zip(p_row, q_row)), 1.0)
+
+
 def all_states(sizes) -> itertools.product:
     """All assignments (1-based tuples), last coordinate varying fastest."""
     return itertools.product(*[range(1, s + 1) for s in sizes])
@@ -86,6 +100,17 @@ def brute_tv(p_vectors, q_vectors) -> float:
     return 0.5 * total
 
 
+def brute_positive_part(p_vectors, q_vectors) -> float:
+    """Sum of ``max{0, P(omega) - Q(omega)}`` over the product space; equals TV."""
+    sizes = [len(v) for v in p_vectors]
+    total = 0.0
+    for state in all_states(sizes):
+        total += max(
+            0.0, brute_point_mass(p_vectors, state) - brute_point_mass(q_vectors, state)
+        )
+    return total
+
+
 def brute_subset_gap(p_vec, q_vec) -> float:
     """Max event-probability gap over all category subsets (TV's event form)."""
     q = len(p_vec)
@@ -96,3 +121,79 @@ def brute_subset_gap(p_vec, q_vec) -> float:
         )
         best = max(best, abs(gap))
     return best
+
+
+# --- seeded random instances ------------------------------------------------
+
+
+_MARGINAL_KINDS = ("independent", "identical", "near", "disjoint", "sparse")
+
+
+def _random_marginal_pair(
+    rng: np.random.Generator, size: int
+) -> tuple[list[float], list[float]]:
+    if size == 1:
+        return [1.0], [1.0]
+    kind = _MARGINAL_KINDS[int(rng.integers(len(_MARGINAL_KINDS)))]
+    if kind == "identical":
+        a = rng.dirichlet(np.ones(size))
+        b = a.copy()
+    elif kind == "near":
+        a = rng.dirichlet(np.ones(size))
+        scale = 10.0 ** rng.uniform(-12.0, -6.0)
+        b = np.clip(a * (1.0 + scale * rng.standard_normal(size)), 0.0, None)
+        b /= b.sum()
+    elif kind == "disjoint":
+        cut = int(rng.integers(1, size))
+        order = rng.permutation(size)
+        a = np.zeros(size)
+        b = np.zeros(size)
+        a[order[:cut]] = rng.dirichlet(np.ones(cut))
+        b[order[cut:]] = rng.dirichlet(np.ones(size - cut))
+    elif kind == "sparse":
+        a = rng.dirichlet(np.ones(size))
+        b = rng.dirichlet(np.ones(size))
+        for vec in (a, b):
+            drop = rng.random(size) < 0.4
+            if drop.all():
+                drop[int(rng.integers(size))] = False
+            vec[drop] = 0.0
+            vec /= vec.sum()
+    else:
+        a = rng.dirichlet(np.ones(size))
+        b = rng.dirichlet(np.ones(size))
+    return a.tolist(), b.tolist()
+
+
+def random_instance_pair(
+    rng: np.random.Generator, max_n: int = 6, max_q: int = 4
+) -> tuple[ProductDistribution, ProductDistribution]:
+    """Seeded random (P, Q) pair for property suites, with P != Q guaranteed.
+
+    Mixes plain random, identical, near-identical, disjoint-support, and
+    sparse marginals; domain sizes vary per coordinate. Deterministic given
+    the generator's state.
+    """
+    n = int(rng.integers(1, max_n + 1))
+    sizes = [int(rng.integers(1, max_q + 1)) for _ in range(n)]
+    if all(s == 1 for s in sizes):
+        sizes[int(rng.integers(n))] = 2
+    while True:
+        left = []
+        right = []
+        for s in sizes:
+            a, b = _random_marginal_pair(rng, s)
+            left.append(a)
+            right.append(b)
+        p = validate(left)
+        q = validate(right)
+        if not are_identical(p, q):
+            return p, q
+
+
+def random_instances(
+    seed: int, count: int, max_n: int = 6, max_q: int = 4
+) -> list[tuple[ProductDistribution, ProductDistribution]]:
+    """Fixed-seed batch of instances; the protocol pinning all property suites."""
+    rng = np.random.default_rng(seed)
+    return [random_instance_pair(rng, max_n, max_q) for _ in range(count)]

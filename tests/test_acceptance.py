@@ -13,7 +13,13 @@ import pytest
 
 import tvdist as tv
 
-from conftest import BERNOULLI_P, BERNOULLI_Q, brute_tv
+from conftest import (
+    BERNOULLI_P,
+    BERNOULLI_Q,
+    brute_tv,
+    random_instance_pair,
+    random_instances,
+)
 
 
 def _criterion(number: int, ok: bool, detail: str) -> None:
@@ -25,7 +31,7 @@ def _criterion(number: int, ok: bool, detail: str) -> None:
 def instance_suite():
     """100 seeded instances (n <= 6, q_i <= 4) with exact reference values."""
     rows = []
-    for p, q in tv.random_instances(20260810, 100):
+    for p, q in random_instances(20260810, 100):
         rows.append(
             {
                 "p": p,
@@ -167,7 +173,7 @@ def test_criterion_5_estimate_range_on_full_support(instance_suite):
                 continue
             checked += 1
             try:
-                (value,) = tv.estimator_f(row["p"], row["q"], np.array([omega.values]))
+                (value,) = tv.estimator_f(row["p"], row["q"], np.array([omega]))
             except tv.EstimatorOutOfRange:
                 range_errors += 1
                 continue
@@ -194,7 +200,7 @@ def test_criterion_6_sampler_exactness():
     table = tv.exact_pi(p, q)
     exact = np.array(
         [
-            table[tv.Assignment(state)]
+            table[state]
             for state in itertools.product(*[range(1, s + 1) for s in p.domain_sizes])
         ]
     )
@@ -230,7 +236,7 @@ def test_criterion_7_tiny_distance_stability():
 
 def test_criterion_8_determinism_and_merge():
     rng = np.random.default_rng(4242)
-    p, q = tv.random_instance_pair(rng, max_n=6, max_q=4)
+    p, q = random_instance_pair(rng, max_n=6, max_q=4)
 
     def run(workers):
         config = tv.EstimatorConfig(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,26 @@ def test_every_public_name_resolves():
 
     assert tv.exact_tv is oracle.exact_tv
     assert tv.EnumerationBudget is oracle.EnumerationBudget
+
+
+def test_every_error_class_is_public():
+    from tvdist import errors
+
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    assert "SlackOnlyDifference" in classes
+    assert classes <= set(tv.__all__)
+
+
+def test_readme_lists_exactly_the_public_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("Public names (`tvdist.__all__`):", 1)[1]
+    names = re.findall(r"`(\w+)`", listing.strip().split("\n\n", 1)[0])
+    assert len(names) == len(set(names))
+    assert set(names) == set(tv.__all__)
 
 
 def test_star_import_binds_every_public_name():

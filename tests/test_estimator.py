@@ -11,7 +11,14 @@ from tvdist.errors import (
     ZeroDenominator,
 )
 
-from conftest import BERNOULLI_P, BERNOULLI_Q, brute_tv
+from conftest import (
+    BERNOULLI_P,
+    BERNOULLI_Q,
+    brute_tv,
+    random_instance_pair,
+    reference_coordinate_tv,
+    rows,
+)
 
 
 # --- sample count -----------------------------------------------------------
@@ -33,6 +40,19 @@ def test_sample_count_rejects_bad_arguments():
         tv.sample_count(2, 0.0, 0.1)
     with pytest.raises(InvalidParameter):
         tv.sample_count(2, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"], ids=repr)
+def test_sample_count_rejects_an_n_that_is_not_an_integer(n):
+    with pytest.raises(InvalidParameter, match="n must be an integer"):
+        tv.sample_count(n, 0.1, 0.05)
+
+
+def test_sample_count_takes_a_numpy_integer_n():
+    assert tv.sample_count(np.int64(3), 0.1, 0.05) == 2698
+    assert tv.sample_count(3, 0.1, 0.05) == 2698
+    with pytest.raises(InvalidParameter, match=r"^n must be >= 1, got 0$"):
+        tv.sample_count(np.int64(0), 0.1, 0.05)
 
 
 # --- per-sample estimate ----------------------------------------------------
@@ -77,8 +97,8 @@ def test_estimator_f_invalid_assignment(bernoulli_pair):
 def test_estimator_f_in_range_on_support():
     for seed in (31, 32, 33):
         rng = np.random.default_rng(seed)
-        p, q = tv.random_instance_pair(rng, max_n=4, max_q=4)
-        support = [omega.values for omega, mass in tv.exact_pi(p, q).items() if mass > 0.0]
+        p, q = random_instance_pair(rng, max_n=4, max_q=4)
+        support = [omega for omega, mass in tv.exact_pi(p, q).items() if mass > 0.0]
         f = tv.estimator_f(p, q, np.array(support))
         assert f.shape == (len(support),)
         assert np.all((0.0 <= f) & (f <= 1.0))
@@ -151,14 +171,14 @@ def test_estimate_result_identity_and_fields(bernoulli_pair):
     assert 0.0 <= result.mean_f <= 1.0
     assert result.samples_used == 5000
     assert result.per_coordinate_tv == tuple(
-        tv.coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals)
+        map(reference_coordinate_tv, rows(p), rows(q))
     )
     assert result.elapsed_seconds >= 0.0
 
 
 def test_estimate_deterministic_and_worker_invariant():
     rng = np.random.default_rng(555)
-    p, q = tv.random_instance_pair(rng, max_n=5, max_q=3)
+    p, q = random_instance_pair(rng, max_n=5, max_q=3)
     runs = [
         tv.estimate_tv(
             p, q, tv.EstimatorConfig(0.1, 0.05, seed=99, samples_override=12000, workers=w)
@@ -172,7 +192,7 @@ def test_estimate_deterministic_and_worker_invariant():
 def test_estimate_unbiased_against_oracle():
     for seed in (41, 42, 43):
         rng = np.random.default_rng(seed)
-        p, q = tv.random_instance_pair(rng, max_n=4, max_q=4)
+        p, q = random_instance_pair(rng, max_n=4, max_q=4)
         stats = tv.build_stats(p, q)
         expectation = tv.exact_expectation_f(p, q)
         assert abs(expectation * stats.pr_diff - tv.exact_tv(p, q)) <= 1e-10

@@ -4,7 +4,7 @@
 at a time; the tests require the same stored floats, bit for bit, or the
 same exception with the same coordinate, category and total. The
 distances ``build_stats``, ``naive_estimate_tv`` and ``are_identical`` use
-must be those :func:`tvdist.coordinate_tv` gives each coordinate pair.
+must be those ``reference_coordinate_tv`` gives each coordinate pair.
 pytest turns ``RuntimeWarning`` into an error, so a numpy warning on any
 of these inputs fails the tests.
 """
@@ -26,6 +26,8 @@ from tvdist.errors import (
     NegativeProbability,
     SlackOnlyDifference,
 )
+
+from conftest import reference_coordinate_tv, rows
 
 
 def reference_validate(p_raw) -> tuple[tuple[float, ...], ...]:
@@ -80,11 +82,11 @@ def _outcome(validate, rows):
     return [tuple(map(float.hex, vec)) for vec in vectors]
 
 
-def _stored(rows) -> tuple[tuple[float, ...], ...]:
-    dist = tv.validate(rows)
-    for m in dist.marginals:
-        assert all(type(x) is float for x in m.probs)
-    return tuple(m.probs for m in dist.marginals)
+def _stored(p_raw) -> tuple[tuple[float, ...], ...]:
+    vectors = tuple(rows(tv.validate(p_raw)))
+    for vec in vectors:
+        assert all(type(x) is float for x in vec)
+    return vectors
 
 
 def assert_same_outcome(rows) -> None:
@@ -245,12 +247,12 @@ def _pair(draw) -> tuple[list[float], list[float]]:
 
 
 def _reference_d(p, q) -> tuple[float, ...]:
-    return tuple(tv.coordinate_tv(pm, qm) for pm, qm in zip(p.marginals, q.marginals))
+    return tuple(map(reference_coordinate_tv, rows(p), rows(q)))
 
 
 def _first_slack_only(p, q, d) -> int | None:
-    for i, (d_i, pm, qm) in enumerate(zip(d, p.marginals, q.marginals), start=1):
-        if d_i > 0.0 and not any(b < a for a, b in zip(pm.probs, qm.probs)):
+    for i, (d_i, pm, qm) in enumerate(zip(d, rows(p), rows(q)), start=1):
+        if d_i > 0.0 and not any(b < a for a, b in zip(pm, qm)):
             return i
     return None
 
