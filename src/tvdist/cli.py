@@ -18,15 +18,26 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .coupling import build_stats
-from .distributions import ProductDistribution, require_same_shape, validate
+from .distributions import (
+    ProductDistribution,
+    check_count,
+    check_delta,
+    check_epsilon,
+    check_seed,
+    require_same_shape,
+    validate,
+)
 from .errors import (
     BudgetExceeded,
     IdenticalDistributions,
     InstanceFormatError,
     InternalInvariantError,
+    InvalidParameter,
     ValidationError,
 )
 from .estimator import (
@@ -57,40 +68,26 @@ def load_instance(path: str) -> tuple[ProductDistribution, ProductDistribution, 
     for key in ("p", "q"):
         if key not in document:
             raise InstanceFormatError(f"missing key {key!r}")
-        if not isinstance(document[key], list):
-            raise InstanceFormatError(f"key {key!r} must be a list of lists")
     p = validate(document["p"])
     q = validate(document["q"])
     require_same_shape(p, q)
     return p, q, digest
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _checked(
+    convert: Callable[[str], Any], check: Callable[..., Any], *args: str
+) -> Callable[[str], Any]:
+    """An argparse ``type=`` returning ``check(*args, convert(text))``; the
+    check's :class:`InvalidParameter` becomes a usage error (exit 2)."""
 
+    def parse(text: str) -> Any:
+        try:
+            return check(*args, convert(text))
+        except InvalidParameter as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _unit_open_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _seed_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be a u64, got {text}")
-    return value
+    parse.__name__ = convert.__name__  # argparse names it on a ValueError
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,20 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    epsilon, delta = _checked(float, check_epsilon), _checked(float, check_delta)
+    seed, samples = _checked(int, check_seed), _checked(int, check_count, "samples")
 
     estimate = sub.add_parser(
         "estimate", help="importance-sampling estimate with accuracy guarantees"
     )
     estimate.add_argument("instance", help="JSON instance file with keys 'p' and 'q'")
-    estimate.add_argument("--epsilon", type=_positive_float, default=0.1)
-    estimate.add_argument("--delta", type=_unit_open_float, default=0.05)
-    estimate.add_argument("--seed", type=_seed_int, default=None)
-    estimate.add_argument(
-        "--samples", type=_positive_int, default=None, help="override the sample count"
-    )
+    estimate.add_argument("--epsilon", type=epsilon, default=0.1)
+    estimate.add_argument("--delta", type=delta, default=0.05)
+    estimate.add_argument("--seed", type=seed, default=None)
+    estimate.add_argument("--samples", type=samples, help="override the sample count")
     estimate.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_checked(int, check_count, "workers"),
         default=1,
         help=(
             "2 or more: one other thread fills uniforms ahead of the caller, "
@@ -127,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     exact = sub.add_parser("exact", help="exact distance by full enumeration")
     exact.add_argument("instance")
-    exact.add_argument("--max-states", type=_positive_int, default=None)
+    exact.add_argument("--max-states", type=_checked(int, check_count, "max_states"))
 
     naive = sub.add_parser("naive", help="plain Monte Carlo baseline (no guarantee)")
     naive.add_argument("instance")
-    naive.add_argument("--samples", type=_positive_int, required=True)
-    naive.add_argument("--seed", type=_seed_int, default=None)
+    naive.add_argument("--samples", type=samples, required=True)
+    naive.add_argument("--seed", type=seed, default=None)
 
     info = sub.add_parser("info", help="coupling diagnostics, no sampling")
     info.add_argument("instance")
-    info.add_argument("--epsilon", type=_positive_float, default=0.1)
-    info.add_argument("--delta", type=_unit_open_float, default=0.05)
+    info.add_argument("--epsilon", type=epsilon, default=0.1)
+    info.add_argument("--delta", type=delta, default=0.05)
 
     return parser
 
@@ -153,25 +150,20 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _report(
-    command: str, path: str, digest: str, config: dict[str, Any], result: dict[str, Any]
+    args: argparse.Namespace, digest: str, config: dict[str, Any], result: Any
 ) -> dict[str, Any]:
+    """The report of ``args.command`` on the instance file that hashes to ``digest``.
+
+    ``result`` is a dict, or a dataclass reported field by field.
+    """
+    if is_dataclass(result):
+        result = {field.name: getattr(result, field.name) for field in fields(result)}
     return {
-        "command": command,
-        "instance": {"path": path, "sha256": digest},
+        "command": args.command,
+        "instance": {"path": args.instance, "sha256": digest},
         "config": config,
         "result": result,
         "timing": {"seconds": 0.0},  # filled in by _emit
-    }
-
-
-def _estimate_result_dict(result: Any) -> dict[str, Any]:
-    return {
-        "estimate": result.estimate,
-        "mean_f": result.mean_f,
-        "samples_used": result.samples_used,
-        "pr_diff": result.pr_diff,
-        "per_coordinate_tv": list(result.per_coordinate_tv),
-        "elapsed_seconds": result.elapsed_seconds,
     }
 
 
@@ -187,8 +179,7 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
     )
     result = estimate_tv(p, q, config)
     report = _report(
-        "estimate",
-        args.instance,
+        args,
         digest,
         {
             "epsilon": args.epsilon,
@@ -197,7 +188,7 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
             "seed": seed,
             "workers": args.workers,
         },
-        _estimate_result_dict(result),
+        result,
     )
     summary = (
         f"estimate: d_hat={result.estimate:.6g} "
@@ -207,36 +198,20 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
 
 
 def _cmd_exact(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
-    from .oracle import EnumerationBudget, exact_tv
+    from .oracle import DEFAULT_MAX_STATES, EnumerationBudget, exact_tv
 
     p, q, digest = load_instance(args.instance)
-    budget = (
-        EnumerationBudget(max_states=args.max_states)
-        if args.max_states is not None
-        else EnumerationBudget()
-    )
-    value = exact_tv(p, q, budget)
-    report = _report(
-        "exact",
-        args.instance,
-        digest,
-        {"max_states": budget.max_states},
-        {"tv": value, "states": p.state_count()},
-    )
-    return report, f"exact: tv={value:.12g} over {p.state_count()} states"
+    budget = EnumerationBudget(args.max_states or DEFAULT_MAX_STATES)
+    result = {"tv": exact_tv(p, q, budget), "states": p.state_count()}
+    report = _report(args, digest, {"max_states": budget.max_states}, result)
+    return report, f"exact: tv={result['tv']:.12g} over {result['states']} states"
 
 
 def _cmd_naive(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
     p, q, digest = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     result = naive_estimate_tv(p, q, args.samples, seed)
-    report = _report(
-        "naive",
-        args.instance,
-        digest,
-        {"samples": args.samples, "seed": seed},
-        _estimate_result_dict(result),
-    )
+    report = _report(args, digest, {"samples": args.samples, "seed": seed}, result)
     summary = f"naive: estimate={result.estimate:.6g} (m={args.samples}, seed={seed})"
     return report, summary
 
@@ -253,13 +228,7 @@ def _cmd_info(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
         "identical": identical,
         "sample_count": sample_count(p.n, args.epsilon, args.delta),
     }
-    report = _report(
-        "info",
-        args.instance,
-        digest,
-        {"epsilon": args.epsilon, "delta": args.delta},
-        result,
-    )
+    report = _report(args, digest, {"epsilon": args.epsilon, "delta": args.delta}, result)
     if identical:
         summary = "info: distributions are identical; an estimate would output 0"
     else:

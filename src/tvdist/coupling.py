@@ -46,15 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import ProductDistribution, coordinate_tvs, require_same_shape
+from .distributions import ProductDistribution, check_count, check_seed, coordinate_tvs
 from .errors import (
     DegenerateConditional,
     EstimatorOutOfRange,
@@ -83,37 +82,8 @@ WEIGHT_SUM_TOL = 1e-12
 #: size are clamped; anything larger aborts.
 F_RANGE_TOL = 1e-12
 
-_MAX_SEED = 2**64
-
 #: Smallest positive normal double (see :func:`_select`).
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-
-
-def _check_integer(name: str, value: int) -> int:
-    """Return a Python or numpy integer (not a bool) as a plain int."""
-    if isinstance(value, bool):
-        raise InvalidParameter(f"{name} must be an integer, got bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        kind = type(value).__name__
-        raise InvalidParameter(f"{name} must be an integer, got {kind}") from None
-
-
-def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed and return it as a plain int."""
-    seed = _check_integer("seed", seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
-    return seed
-
-
-def check_count(name: str, value: int) -> int:
-    """Validate a positive count and return it as a plain int."""
-    count = _check_integer(name, value)
-    if count < 1:
-        raise InvalidParameter(f"{name} must be >= 1, got {count}")
-    return count
 
 
 def block_rng(seed: int, block: int) -> Generator:
@@ -167,20 +137,17 @@ def _pass_over(bits: Philox, drawn: int, count: int) -> None:
         bits.random_raw(rest % 4, output=False)
 
 
-def _panels(sizes: list[int]) -> list[tuple[int, int, int]]:
-    """``(first block, blocks, size)`` of each panel of a run's blocks.
+def _panels(count: int) -> Iterator[tuple[int, int, int]]:
+    """``(first block, blocks, size)`` of each panel of a run of ``count`` draws.
 
-    A panel groups up to :data:`PANEL_BLOCKS` consecutive blocks of equal
-    size, which the kernel steps side by side.
+    The full blocks go side by side, :data:`PANEL_BLOCKS` to a panel (the
+    last may hold fewer); a short last block is a panel of its own.
     """
-    panels: list[tuple[int, int, int]] = []
-    for block, size in enumerate(sizes):
-        if panels and panels[-1][2] == size and panels[-1][1] < PANEL_BLOCKS:
-            first, blocks, _ = panels[-1]
-            panels[-1] = (first, blocks + 1, size)
-        else:
-            panels.append((block, 1, size))
-    return panels
+    full, rest = divmod(count, SAMPLE_BLOCK)
+    for first in range(0, full, PANEL_BLOCKS):
+        yield first, min(PANEL_BLOCKS, full - first), SAMPLE_BLOCK
+    if rest:
+        yield full, 1, rest
 
 
 def _uniform_chunks(
@@ -218,7 +185,8 @@ def _uniform_chunks(
 
 def _panel_rows(
     seed: int,
-    panels: list[tuple[int, int, int]],
+    panels: Iterable[tuple[int, int, int]],
+    width: int,
     runs: list[tuple[int, int]],
     *,
     prefetch: bool,
@@ -227,14 +195,14 @@ def _panel_rows(
 
     Each row is a ``(blocks, size)`` view holding one coordinate's row of
     every block in the panel; it is overwritten once a later chunk is asked
-    for. Chunks hold :data:`UNIFORM_CHUNK` doubles, or one panel row if that
-    is more. Without ``prefetch`` they are filled on the calling thread into
-    one reused buffer. With it, one pool thread fills the next chunk while
-    the caller reads the current one, two buffers alternating, across panel
-    boundaries; its errors are raised to the caller, and closing the
-    iterator waits for the fill in flight.
+    for. Chunks hold :data:`UNIFORM_CHUNK` doubles, or one row of the widest
+    panel (``width`` draws) if that is more. Without ``prefetch`` they are
+    filled on the calling thread into one reused buffer. With it, one pool
+    thread fills the next chunk while the caller reads the current one, two
+    buffers alternating, across panel boundaries; its errors are raised to
+    the caller, and closing the iterator waits for the fill in flight.
     """
-    capacity = max(UNIFORM_CHUNK, *(blocks * size for _, blocks, size in panels))
+    capacity = max(UNIFORM_CHUNK, width)
     buffers = itertools.cycle([np.empty(capacity) for _ in range(1 + prefetch)])
     chunks = (
         chunk
@@ -281,13 +249,14 @@ def _draw_panels(
     a run touches fresh pages once, not once per panel. Closing this
     generator closes the row reader.
     """
-    panels = _panels(block_sizes(count))
-    width = max(blocks * size for _, blocks, size in panels)
+    # the widest panel: up to PANEL_BLOCKS full blocks, or else the short one
+    width = SAMPLE_BLOCK * min(count // SAMPLE_BLOCK, PANEL_BLOCKS) or count
     kinds = ((floats, np.float64), (flags, bool), (picks, np.intp))
     buffers = [np.empty((height, width), dtype) for height, dtype in kinds]
     runs = _stream_runs(steps, n)
-    with closing(_panel_rows(seed, panels, runs, prefetch=prefetch)) as rows:
-        for _, blocks, size in panels:
+    reader = _panel_rows(seed, _panels(count), width, runs, prefetch=prefetch)
+    with closing(reader) as rows:
+        for _, blocks, size in _panels(count):
             views = (b[:, : blocks * size].reshape(-1, blocks, size) for b in buffers)
             yield (rows, *views)
 
@@ -588,11 +557,14 @@ def sample_pi_batch(
     """Draw ``count`` independent conditional outcomes as a ``(count, n)`` array.
 
     Rows are draws; entries are 1-based categories, and ``tuple(row)`` is
-    the key :func:`~tvdist.oracle.exact_pi` gives that outcome. With
-    ``check_invariants`` every sampling step verifies that its weights sum
-    to the analytic normalizer within :data:`WEIGHT_SUM_TOL`.
+    the key :func:`~tvdist.oracle.exact_pi` gives that outcome. ``stats``
+    must be ``build_stats(p, q)``; another pair's raises
+    :class:`InvalidParameter`. With ``check_invariants`` every sampling step
+    verifies that its weights sum to the analytic normalizer within
+    :data:`WEIGHT_SUM_TOL`.
     """
-    require_same_shape(p, q)
+    if stats != build_stats(p, q):  # raises DomainMismatch first if shapes differ
+        raise InvalidParameter("stats must be build_stats(p, q) of the pair sampled")
     check_seed(seed)
     count = check_count("count", count)
     if stats.pr_diff == 0.0:

@@ -7,13 +7,19 @@ sizes may differ. Categories are 1-based throughout the public API.
 Construct distributions through :func:`validate`, which checks
 non-negativity and normalization. Stored probability vectors are kept
 exactly as given (no silent renormalization).
+
+This module owns every input check, of instances and of parameters alike
+(``check_seed``, ``check_count``, ``check_epsilon``, ``check_delta``): the
+estimator, sampler, oracle and CLI flags call these, and copy none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+import numbers
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,7 @@ from .errors import (
     EmptyInput,
     IndexOutOfRange,
     InstanceFormatError,
+    InvalidParameter,
     MarginalNotNormalized,
     NegativeProbability,
 )
@@ -95,13 +102,17 @@ def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
     row that is empty, has a negative entry or a bad sum.
 
     Raises:
-        InstanceFormatError: a row is not a sequence, or an entry is a bool,
-            a string or anything else ``float`` rejects.
+        InstanceFormatError: ``p_raw`` is not a sequence of rows (a number,
+            ``None``, a string or a mapping), a row is not a sequence, or an
+            entry is a bool, a string or anything else ``float`` rejects.
         EmptyInput: no coordinates, or a coordinate with no categories.
         NegativeProbability: an entry is below zero.
         MarginalNotNormalized: a vector's sum is off by more than the
             tolerance or is not finite (``inf`` if finite entries overflow).
     """
+    if isinstance(p_raw, (str, bytes, Mapping)) or not isinstance(p_raw, Iterable):
+        kind = type(p_raw).__name__
+        raise InstanceFormatError(f"a distribution must be a list of rows, got {kind}")
     rows = [_row_floats(i, raw) for i, raw in enumerate(p_raw, start=1)]
     if not rows:
         raise EmptyInput("a product distribution needs at least one coordinate")
@@ -190,3 +201,57 @@ def are_identical(p: ProductDistribution, q: ProductDistribution) -> bool:
     require_same_shape(p, q)
     # an exact sum of |P - Q| is zero only where every term is
     return bool(np.array_equal(p.probs, q.probs))
+
+
+def _check_integer(name: str, value: int) -> int:
+    """Return a Python or numpy integer (not a bool) as a plain int."""
+    if isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer, got bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        kind = type(value).__name__
+        raise InvalidParameter(f"{name} must be an integer, got {kind}") from None
+
+
+def check_seed(seed: int) -> int:
+    """Validate a 64-bit unsigned seed and return it as a plain int."""
+    seed = _check_integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise InvalidParameter(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def check_count(name: str, value: int) -> int:
+    """Validate a positive count and return it as a plain int."""
+    count = _check_integer(name, value)
+    if count < 1:
+        raise InvalidParameter(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def _check_real(name: str, value: float) -> float:
+    """Return a Python or numpy real number (not a bool) as a plain float."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        kind = type(value).__name__
+        raise InvalidParameter(f"{name} must be a real number, got {kind}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past double range
+        return math.inf if value > 0 else -math.inf
+
+
+def check_epsilon(epsilon: float) -> float:
+    """Validate a finite positive relative error and return it as a plain float."""
+    value = _check_real("epsilon", epsilon)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
+    return value
+
+
+def check_delta(delta: float) -> float:
+    """Validate a failure probability in (0, 1) and return it as a plain float."""
+    value = _check_real("delta", delta)
+    if not 0.0 < value < 1.0:
+        raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
+    return value

@@ -35,12 +35,14 @@ from .coupling import (
     _sample_panels,
     _select,
     build_stats,
-    check_count,
-    check_seed,
 )
 from .distributions import (
     ProductDistribution,
     check_assignment,
+    check_count,
+    check_delta,
+    check_epsilon,
+    check_seed,
     coordinate_tvs,
     require_same_shape,
 )
@@ -65,8 +67,9 @@ class EstimatorConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _check_accuracy(self.epsilon, self.delta)
-        # stored as plain ints, so a numpy integer reports like any other
+        # stored as plain numbers, so a numpy scalar reports like any other
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
+        object.__setattr__(self, "delta", check_delta(self.delta))
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.samples_override is not None:
             samples = check_count("samples_override", self.samples_override)
@@ -102,25 +105,23 @@ def _block_mean(panels: Iterable[np.ndarray], count: int) -> float:
     return math.fsum(sums) / count
 
 
-def _check_accuracy(epsilon: float, delta: float) -> None:
-    """Require a finite positive ``epsilon`` and a ``delta`` in (0, 1)."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
-
-
 def sample_count(n: int, epsilon: float, delta: float) -> int:
     """Number of draws needed for a (1 +- epsilon) answer with confidence 1 - delta.
 
     Evaluates ``ceil((n^2 / epsilon^2) * ln(1/delta')) + 1`` with natural
     log and ``delta' = min(delta, 1/2)``; the clamp keeps the concentration
-    argument valid for large delta at the cost of extra samples.
+    argument valid for large delta at the cost of extra samples. Raises
+    :class:`InvalidParameter` where that count is past the range of a double.
     """
     n = check_count("n", n)
-    _check_accuracy(epsilon, delta)
+    epsilon, delta = check_epsilon(epsilon), check_delta(delta)
     target = min(delta, 0.5)
-    return math.ceil((n * n) / (epsilon * epsilon) * math.log(1.0 / target)) + 1
+    try:
+        return math.ceil((n * n) / (epsilon * epsilon) * math.log(1.0 / target)) + 1
+    except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows to 0, or m to inf
+        raise InvalidParameter(
+            f"n={n}, epsilon={epsilon!r}, delta={delta!r} need a count past double range"
+        ) from None
 
 
 def estimator_f(

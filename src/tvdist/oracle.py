@@ -17,8 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .coupling import check_count
-from .distributions import ProductDistribution, require_same_shape
+from .distributions import ProductDistribution, check_count, require_same_shape
 from .errors import BudgetExceeded, IdenticalDistributions
 from .estimator import estimator_f
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import jsonschema
@@ -244,11 +245,77 @@ def test_instance_file_round_trips(tmp_path):
     assert p1 == tv.validate(document["p"])
 
 
-def test_parser_rejects_bad_flag_values():
+#: A command's flags, and the message its rejection prints after "error: ".
+BAD_FLAGS = [
+    (["estimate", "--epsilon", "-1"], "argument --epsilon: epsilon must be positive, got -1.0"),
+    (["estimate", "--delta", "1.5"], "argument --delta: delta must be in (0, 1), got 1.5"),
+    (["naive"], "the following arguments are required: --samples"),
+    (["estimate", "--samples", "0"], "argument --samples: samples must be >= 1, got 0"),
+    (["estimate", "--workers", "0"], "argument --workers: workers must be >= 1, got 0"),
+    (["exact", "--max-states", "0"], "argument --max-states: max_states must be >= 1, got 0"),
+    (["estimate", "--seed", "-1"], "argument --seed: seed must be in [0, 2**64), got -1"),
+    (
+        ["naive", "--samples", "9", "--seed", str(2**64)],
+        f"argument --seed: seed must be in [0, 2**64), got {2**64}",
+    ),
+    (["info", "--epsilon", "inf"], "argument --epsilon: epsilon must be positive, got inf"),
+    (["info", "--delta", "0"], "argument --delta: delta must be in (0, 1), got 0.0"),
+    (["estimate", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
+    (["naive", "--samples", "1.5"], "argument --samples: invalid int value: '1.5'"),
+]
+
+
+def test_parser_rejects_bad_flag_values(capsys):
+    """Each flag runs the library's own check: a usage error (exit 2) that
+    prints the check's message."""
     parser = cli.build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["estimate", "x.json", "--epsilon", "-1"])
-    with pytest.raises(SystemExit):
-        parser.parse_args(["estimate", "x.json", "--delta", "1.5"])
-    with pytest.raises(SystemExit):
-        parser.parse_args(["naive", "x.json"])  # --samples is required
+    for (command, *flags), message in BAD_FLAGS:
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, "x.json", *flags])
+        assert info.value.code == 2, flags
+        assert f"tvdist {command}: error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["1e-320", "1e-160"])
+def test_a_draw_count_past_double_range_is_a_validation_error(
+    capsys, bernoulli_file, epsilon
+):
+    """epsilon**2 underflows to 0 at 1e-320, and the count overflows at 1e-160."""
+    code, report, err = run_cli(capsys, ["info", bernoulli_file, "--epsilon", epsilon])
+    assert code == 2
+    assert report["error"]["type"] == "InvalidParameter"
+    assert f"epsilon={float(epsilon)!r}, delta=0.05" in report["error"]["message"]
+    assert "past double range" in err
+
+
+def test_a_finite_draw_count_past_memory_is_reported(capsys, bernoulli_file):
+    code, report, _ = run_cli(capsys, ["info", bernoulli_file, "--epsilon", "1e-150"])
+    assert code == 0
+    assert report["result"]["sample_count"] == tv.sample_count(2, 1e-150, 0.05) > 10**300
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param([1, 2], "top level must be an object", id="list"),
+        pytest.param({"p": 5, "q": [[1.0]]}, "must be a list of rows, got int", id="p"),
+        pytest.param({"p": [[1.0]], "q": "[1.0]"}, "must be a list of rows, got str", id="q"),
+    ],
+)
+def test_instance_of_the_wrong_structure_is_validation_error(
+    capsys, tmp_path, document, message
+):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(document))
+    code, report, _ = run_cli(capsys, ["info", str(path)])
+    assert code == 2
+    assert report["error"]["type"] == "InstanceFormatError"
+    assert message in report["error"]["message"]
+
+
+def test_result_fields_are_reported_in_order(capsys, bernoulli_file):
+    """The estimate and naive reports hold every EstimateResult field, in order."""
+    names = [field.name for field in dataclasses.fields(tv.EstimateResult)]
+    for argv in (["estimate", "--seed", "3"], ["naive", "--samples", "50", "--seed", "3"]):
+        _, report, _ = run_cli(capsys, [argv[0], bernoulli_file, *argv[1:]])
+        assert list(report["result"]) == names

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def test_sample_pi_identical_distributions_raises():
         tv.sample_pi_batch(p, p, stats, 1, 1)
     with pytest.raises(IdenticalDistributions):
         tv.sample_pi_batch(p, p, stats, 1, 10)
+
+
+def test_sample_pi_batch_rejects_stats_of_another_pair(bernoulli_pair):
+    p = tv.validate([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8]])
+    q = tv.validate([[0.4, 0.6], [0.3, 0.7], [0.1, 0.9]])
+    other = tv.validate([[0.4, 0.6], [0.2, 0.8], [0.1, 0.9]])
+    # a 2-coordinate pair's stats (an IndexError once), then another
+    # 3-coordinate pair's (once drawn from silently)
+    for stats in (tv.build_stats(*bernoulli_pair), tv.build_stats(p, other)):
+        with pytest.raises(InvalidParameter, match="stats must be build_stats"):
+            tv.sample_pi_batch(p, q, stats, 1, 10)
+    assert tv.sample_pi_batch(p, q, tv.build_stats(p, q), 1, 10).shape == (10, 3)
 
 
 def test_sample_pi_deterministic_point():
@@ -353,21 +366,25 @@ def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
     from tvdist import coupling
 
     monkeypatch.setattr(coupling, "UNIFORM_CHUNK", 3 * 7)
+    monkeypatch.setattr(coupling, "SAMPLE_BLOCK", 7)
     needed = [True, False, False, True, True, True, False, True, True, False]
     steps = [k for k, need in enumerate(needed) if need]
-    # a short block in the middle, and a full panel of 4 beside one of 1
-    for sizes, grouping in (
-        ([7, 7, 5, 7], [[0, 1], [2], [3]]),
-        ([7] * 5 + [5], [[0, 1, 2, 3], [4], [5]]),
+    # a full panel of 4 beside one of 1, then a short block, as 40 draws are
+    # planned; and, built by hand, a short block in the middle
+    planned = list(coupling._panels(40))
+    assert planned == [(0, 4, 7), (4, 1, 7), (5, 1, 5)]
+    for sizes, panels in (
+        ([7] * 5 + [5], planned),
+        ([7, 7, 5, 7], [(0, 2, 7), (2, 1, 5), (3, 1, 7)]),
     ):
+        grouping = [list(range(first, first + blocks)) for first, blocks, _ in panels]
+        width = max(blocks * size for _, blocks, size in panels)
         block_rows = [
             coupling.block_rng(5, block).random((len(needed), size))[needed]
             for block, size in enumerate(sizes)
         ]
-        panels = coupling._panels(sizes)
-        assert [list(range(first, first + blocks)) for first, blocks, _ in panels] == grouping
         runs = coupling._stream_runs(steps, len(needed))
-        rows = coupling._panel_rows(5, panels, runs, prefetch=prefetch)
+        rows = coupling._panel_rows(5, panels, width, runs, prefetch=prefetch)
         got = {block: [] for block in range(len(sizes))}
         for group in grouping:
             for _ in steps:
@@ -379,6 +396,48 @@ def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
         rows.close()
         for block, expected in enumerate(block_rows):
             assert np.array_equal(np.reshape(got[block], expected.shape), expected), block
+
+
+def _grouped_block_sizes(sizes: list[int]) -> list[tuple[int, int, int]]:
+    """``(first block, blocks, size)`` panels of any list of block sizes: up
+    to ``PANEL_BLOCKS`` consecutive blocks of equal size each."""
+    panels: list[tuple[int, int, int]] = []
+    for block, size in enumerate(sizes):
+        if panels and panels[-1][2] == size and panels[-1][1] < tv.coupling.PANEL_BLOCKS:
+            first, blocks, _ = panels[-1]
+            panels[-1] = (first, blocks + 1, size)
+        else:
+            panels.append((block, 1, size))
+    return panels
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 16384, 16385, 20483, 269617])
+def test_panels_group_the_blocks_of_a_count(count):
+    from tvdist import coupling
+
+    panels = list(coupling._panels(count))
+    assert panels == _grouped_block_sizes(coupling.block_sizes(count))
+    # the run plan's buffers hold the widest panel exactly
+    width = max(blocks * size for _, blocks, size in panels)
+    plan = coupling._draw_panels(1, count, [], 1, floats=1, flags=1, picks=1)
+    with closing(plan):
+        for (_, blocks, size), (_, floats, flags, picks) in zip(panels, plan, strict=True):
+            assert floats.shape == flags.shape == picks.shape == (1, blocks, size)
+            assert floats.base.shape == (1, width)
+
+
+def test_draw_plan_of_a_count_past_memory_starts_drawing():
+    from tvdist import coupling
+
+    plan = coupling._draw_panels(3, 10**20, [0], 1, floats=1, flags=1, picks=1)
+    rows, floats, flags, picks = next(plan)
+    assert floats.shape == flags.shape == picks.shape == (1, 4, 4096)
+    row = next(rows)
+    assert row.shape == (4, 4096)
+    assert np.array_equal(row[1], coupling.block_rng(3, 1).random(4096))
+    plan.close()
+    assert next(plan, None) is None
+    assert next(rows, None) is None
 
 
 def _identical_coordinates_pair():

@@ -47,6 +47,24 @@ def test_validate_empty_input():
         tv.validate([[0.5, 0.5], []])
 
 
+@pytest.mark.parametrize(
+    "raw", [5, None, 0.5, "[[1.0]]", b"[[1.0]]", {"p": [[1.0]]}, {0: [1.0]}], ids=repr
+)
+def test_validate_rejects_a_top_level_that_is_not_a_list_of_rows(raw):
+    with pytest.raises(InstanceFormatError) as info:
+        tv.validate(raw)
+    assert info.value.coordinate is None
+    kind = type(raw).__name__
+    assert str(info.value) == f"a distribution must be a list of rows, got {kind}"
+
+
+def test_validate_takes_any_iterable_of_rows():
+    vectors = [[0.5, 0.5], [0.25, 0.75]]
+    expected = tv.validate(vectors)
+    for raw in (tuple(map(tuple, vectors)), iter(vectors), np.array(vectors)):
+        assert tv.validate(raw) == expected
+
+
 def test_validate_negative_entry():
     with pytest.raises(NegativeProbability) as info:
         tv.validate([[0.5, 0.5], [1.2, -0.2]])

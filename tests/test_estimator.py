@@ -42,6 +42,23 @@ def test_sample_count_rejects_bad_arguments():
         tv.sample_count(2, 0.1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "epsilon, delta", [(1e-320, 0.05), (1e-160, 0.05), (5e-324, 0.05), (0.1, 5e-324)]
+)
+def test_sample_count_rejects_a_count_past_double_range(epsilon, delta):
+    """epsilon**2 underflows to 0 below about 1e-162; above it the count
+    can overflow to inf, as 1/delta does at the smallest double."""
+    with pytest.raises(InvalidParameter) as info:
+        tv.sample_count(2, epsilon, delta)
+    message = f"n=2, epsilon={epsilon!r}, delta={delta!r} need a count past double range"
+    assert str(info.value) == message
+
+
+def test_sample_count_keeps_finite_counts_past_memory():
+    assert tv.sample_count(2, 1e-150, 0.05) == math.ceil(4 / 1e-300 * math.log(20.0)) + 1
+    assert tv.sample_count(30, 0.1, 0.05) == 269617
+
+
 @pytest.mark.parametrize("n", [2.5, True, "3"], ids=repr)
 def test_sample_count_rejects_an_n_that_is_not_an_integer(n):
     with pytest.raises(InvalidParameter, match="n must be an integer"):
@@ -210,6 +227,62 @@ def test_estimator_config_validation():
         tv.EstimatorConfig(epsilon=0.1, delta=0.1, seed=1, samples_override=0)
     with pytest.raises(InvalidParameter):
         tv.EstimatorConfig(epsilon=0.1, delta=0.1, seed=1, workers=0)
+
+
+#: Every entry point's epsilon and delta, as a call on ``(name, value)``
+#: returning what it made of them.
+ACCURACY_ENTRIES = {
+    "EstimatorConfig": lambda name, value: getattr(
+        tv.EstimatorConfig(**{"epsilon": 0.1, "delta": 0.05, name: value}, seed=1), name
+    ),
+    "sample_count": lambda name, value: tv.sample_count(
+        2, **{"epsilon": 0.1, "delta": 0.05, name: value}
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ACCURACY_ENTRIES)
+@pytest.mark.parametrize("name", ["epsilon", "delta"])
+@pytest.mark.parametrize(
+    "value", [True, False, np.True_, "0.1", None, 0.1j, [0.1]], ids=repr
+)
+def test_accuracy_rejects_bools_and_non_reals(entry, name, value):
+    kind = type(value).__name__
+    with pytest.raises(InvalidParameter) as info:
+        ACCURACY_ENTRIES[entry](name, value)
+    assert str(info.value) == f"{name} must be a real number, got {kind}"
+
+
+@pytest.mark.parametrize("entry", ACCURACY_ENTRIES)
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("epsilon", 0.0, "epsilon must be positive, got 0.0"),
+        ("epsilon", -1, "epsilon must be positive, got -1"),
+        ("epsilon", math.inf, "epsilon must be positive, got inf"),
+        ("epsilon", math.nan, "epsilon must be positive, got nan"),
+        pytest.param(
+            "epsilon", -(10**400), f"epsilon must be positive, got {-(10**400)}", id="-1e400"
+        ),
+        ("delta", 1, "delta must be in (0, 1), got 1"),
+        ("delta", 0.0, "delta must be in (0, 1), got 0.0"),
+        ("delta", math.nan, "delta must be in (0, 1), got nan"),
+        pytest.param("delta", 10**400, f"delta must be in (0, 1), got {10**400}", id="1e400"),
+    ],
+)
+def test_accuracy_out_of_range_keeps_its_message(entry, name, value, message):
+    with pytest.raises(InvalidParameter) as info:
+        ACCURACY_ENTRIES[entry](name, value)
+    assert str(info.value) == message
+
+
+def test_accuracy_takes_numpy_and_integer_reals_as_plain_floats():
+    config = tv.EstimatorConfig(epsilon=np.float64(0.1), delta=np.float32(0.25), seed=1)
+    assert (type(config.epsilon), type(config.delta)) == (float, float)
+    assert (config.epsilon, config.delta) == (0.1, float(np.float32(0.25)))
+    assert type(tv.EstimatorConfig(epsilon=np.int64(1), delta=0.05, seed=1).epsilon) is float
+    assert tv.sample_count(2, np.float64(0.1), np.float64(0.05)) == 1200
+    assert tv.sample_count(1, np.int64(1), 0.5) == tv.sample_count(1, 1, 0.5) == 2
 
 
 #: Every entry point's draw or worker count, as a call on ``(p, q, n)``

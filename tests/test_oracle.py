@@ -92,6 +92,17 @@ def test_exact_pi_identical_raises():
         tv.exact_expectation_f(p, p)
 
 
+def test_exact_pi_slack_only_difference_raises():
+    """Q differs from P by normalization slack alone, so no state has
+    disagreement mass, although the inputs are not equal."""
+    p = tv.validate([[0.5, 0.5]])
+    q = tv.validate([[0.5 + 1e-10, 0.5]])
+    with pytest.raises(IdenticalDistributions, match="no disagreement mass"):
+        tv.exact_pi(p, q)
+    with pytest.raises(IdenticalDistributions, match="no disagreement mass"):
+        tv.exact_expectation_f(p, q)
+
+
 def test_exact_pi_sums_to_one_on_random_instances():
     for p, q in random_instances(2202, 20):
         table = tv.exact_pi(p, q)
