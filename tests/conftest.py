@@ -25,7 +25,9 @@ BERNOULLI_Q = [[0.4, 0.6], [0.4, 0.6]]
 
 #: name -> (P rows, Q rows): one coordinate whose Q/P ratio is far from 1,
 #: with ordinary coordinates (one of them identical) around it. At
-#: Q/P = 2e-17, (Q - P)/P rounds to -1; at P = 5e-324 it overflows.
+#: Q/P = 2e-17, (Q - P)/P rounds to -1; at P = 5e-324 it overflows. In
+#: ``zero_q_beside_overflow`` three Q/P factors of 5e199 overflow their
+#: product while the last coordinate's second category has Q = 0.
 FAR_RATIO_PAIRS = {
     "tiny_q_ratio": (
         [[0.6, 0.4], [0.5, 0.5], [0.3, 0.7], [0.25, 0.75]],
@@ -34,6 +36,10 @@ FAR_RATIO_PAIRS = {
     "subnormal_p": (
         [[0.6, 0.4], [5e-324, 1 - 5e-324], [0.3, 0.7], [0.25, 0.75]],
         [[0.55, 0.45], [0.5, 0.5], [0.35, 0.65], [0.25, 0.75]],
+    ),
+    "zero_q_beside_overflow": (
+        [[0.6, 0.4]] + [[1e-200, 1 - 1e-200]] * 3 + [[0.5, 0.5]],
+        [[0.55, 0.45]] + [[0.5, 0.5]] * 3 + [[1.0, 0.0]],
     ),
 }
 

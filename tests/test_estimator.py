@@ -14,6 +14,7 @@ from tvdist.errors import (
 from conftest import (
     BERNOULLI_P,
     BERNOULLI_Q,
+    FAR_RATIO_PAIRS,
     brute_tv,
     random_instance_pair,
     reference_coordinate_tv,
@@ -88,6 +89,15 @@ def test_estimator_f_disjoint_coordinate():
     q = tv.validate([[0.5, 0.5], [0.0, 1.0]])
     # Q vanishes on the path and min = Q at both coordinates
     assert tv.estimator_f(p, q, np.array([[1, 1]])).tolist() == [1.0]
+
+
+def test_estimator_f_zero_q_factor_beside_overflowing_product():
+    """A Q = 0 factor makes f 1 even where the other Q/P factors overflow;
+    without it the overflowing product makes f 0."""
+    p_rows, q_rows = FAR_RATIO_PAIRS["zero_q_beside_overflow"]
+    p, q = tv.validate(p_rows), tv.validate(q_rows)
+    outcomes = np.array([[1, 1, 1, 1, 2], [1, 1, 1, 1, 1]])
+    assert tv.estimator_f(p, q, outcomes).tolist() == [1.0, 0.0]
 
 
 def test_estimator_f_outside_p_support():
@@ -373,6 +383,17 @@ def test_naive_deterministic(bernoulli_pair):
     a = tv.naive_estimate_tv(p, q, 5000, seed=8)
     b = tv.naive_estimate_tv(p, q, 5000, seed=8)
     assert a.estimate == b.estimate
+
+
+def test_naive_skips_a_coordinate_that_differs_only_in_slack():
+    """A coordinate whose Q differs from P only where P = 0 leaves every
+    value as it is when Q equals P there."""
+    p = tv.validate([[0.6, 0.4], [0.5, 0.5, 0.0]])
+    slack = tv.validate([[0.5, 0.5], [0.5, 0.5, 1e-10]])
+    same = tv.validate([[0.5, 0.5], [0.5, 0.5, 0.0]])
+    a = tv.naive_estimate_tv(p, slack, 5000, 9)
+    b = tv.naive_estimate_tv(p, same, 5000, 9)
+    assert a.estimate.hex() == b.estimate.hex()
 
 
 def test_naive_rejects_bad_arguments(bernoulli_pair):

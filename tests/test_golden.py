@@ -164,6 +164,9 @@ FAR_RATIO_PINS = {
     "subnormal_p": (
         62, "0x1.001789439aa46p-1", "0x1.d2aeae54b581fp-1", 72, "0x1.ffee0e3d0cc69p-2"
     ),
+    "zero_q_beside_overflow": (
+        63, "0x1.bfbd30a0feee5p-1", "0x1.dc006a2160abbp-1", 73, "0x1.bf21ff2e48e8ap-1"
+    ),
 }
 
 #: name -> (seed, sha256 of the int64 selection bytes)
