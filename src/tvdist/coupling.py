@@ -17,9 +17,9 @@ prefix's product of ``min(P_i, Q_i)/P_i`` ratios times a suffix product of
 All products over coordinates are held as sums of logs, and ``1 - x``
 quantities go through ``log1p``/``expm1``, because the interesting regime
 is exponentially small per-coordinate distances where naive products lose
-everything to rounding. A zero factor (``d_i = 1`` in a suffix product, a
-zero ``min(P_i, Q_i)/P_i`` ratio in a prefix) is a log of ``-inf``, its
-zero flag.
+everything to rounding. Every zero factor (``d_i = 1`` in a suffix
+product, a zero ``min(P_i, Q_i)/P_i`` or ``Q_i/P_i`` ratio) is a log of
+``-inf``, its zero flag.
 
 Randomness: a run is identified by a 64-bit ``seed``; work unit ``b``
 (a block of up to :data:`SAMPLE_BLOCK` consecutive draws) uses the
@@ -311,36 +311,31 @@ class _PairTables:
     ``k`` (0-based) owns ``bounds[k]:bounds[k + 1]`` of each flat array:
       - ``p``: ``P_k(c)``,
       - ``log_r``: log of the ``min(P, Q)/P`` ratio,
-      - ``log_qp``/``q_zero``: log of the ``Q/P`` ratio and its zero flag
-        (set where ``Q = 0 < P``; a category with ``P = 0`` is never drawn).
-    ``q_zero_in[k]`` tells whether coordinate ``k`` has a flagged category.
+      - ``log_qp``: log of the ``Q/P`` ratio (0 where ``P = 0``: such a
+        category is never drawn).
     Both ratios are built from ``log1p((Q - P)/P)`` so near-identical
     marginals keep full relative accuracy, except where ``(Q - P)/P``
-    rounds to -1 or overflows (Q/P below about 2^-54, or a subnormal P):
-    there ``log Q - log P`` keeps the ratio. A zero ``min(P, Q)/P`` ratio is
-    stored as a log of ``-inf``, which is its zero flag: every ``log_r`` and
-    suffix log is at most 0, so a sum with a zero factor stays ``-inf``, and
-    ``-expm1(-inf)`` is exactly the 1 that ``1 - 0`` gives. ``Q/P`` needs
-    the explicit flag, as it can overflow to ``+inf``.
+    rounds to -1 or overflows (Q/P below about 2^-54, ``Q = 0``, or a
+    subnormal P): there ``log Q - log P`` keeps the ratio. A zero ratio is
+    stored as a log of ``-inf``, which is its zero flag. Every other log is
+    finite (``|log Q/P|`` is at most about 745), so a sum with a zero factor
+    stays ``-inf``, and ``-expm1(-inf)`` is exactly the 1 that ``1 - 0``
+    gives.
     """
 
-    __slots__ = ("p", "log_r", "log_qp", "q_zero", "q_zero_in", "bounds", "max_q")
+    __slots__ = ("p", "log_r", "log_qp", "bounds", "max_q")
 
     def __init__(self, p: ProductDistribution, q: ProductDistribution) -> None:
         self.p = pv = p.probs
         pos = pv > 0.0
-        q_zero = q.probs == 0.0
-        live = pos & ~q_zero
         with np.errstate(over="ignore"):
             rel = (q.probs - pv) / np.where(pos, pv, 1.0)
-        far = live & ~((rel > -1.0) & (rel < np.inf))
-        self.log_qp = np.log1p(np.where(live & ~far, rel, 0.0))
-        self.log_qp[far] = np.log(q.probs[far]) - np.log(pv[far])
+        far = pos & ~((rel > -1.0) & (rel < np.inf))
+        self.log_qp = np.log1p(np.where(pos & ~far, rel, 0.0))
+        with np.errstate(divide="ignore"):
+            self.log_qp[far] = np.log(q.probs[far]) - np.log(pv[far])
         self.log_r = np.minimum(self.log_qp, 0.0)
-        self.q_zero = pos & q_zero
-        self.log_r[self.q_zero] = -np.inf
         self.bounds = p.offsets.tolist()
-        self.q_zero_in = np.logical_or.reduceat(self.q_zero, p.offsets[:-1]).tolist()
         self.max_q = max(p.domain_sizes)
 
 
@@ -429,30 +424,28 @@ def _step_weights(
 def _f_stage(
     log_a: np.ndarray,
     t_qp: np.ndarray,
-    qp_any: np.ndarray,
     flag: np.ndarray,
+    scratch: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Per-draw estimate ``f`` from the log products of each draw's ratios.
 
-    ``log_a`` holds log prod min(P, Q)/P (``-inf`` for a zero factor),
-    ``t_qp`` log prod Q/P over the nonzero Q/P factors, and ``qp_any``
-    whether a Q/P factor is 0. ``f = (1 - prod Q/P) / (1 - prod min(P, Q)/P)``
+    ``log_a`` holds log prod min(P, Q)/P and ``t_qp`` log prod Q/P, each
+    ``-inf`` where a factor is 0. ``f = (1 - prod Q/P) / (1 - prod min(P, Q)/P)``
     where the numerator is positive, else 0, is written to ``out`` and
-    returned; ``log_a``, ``t_qp``, ``qp_any`` and ``flag`` are overwritten.
-    Raises :class:`ZeroDenominator` for an outcome with a positive numerator
-    and no disagreement mass (one that is never drawn), and
-    :class:`EstimatorOutOfRange` for a value above 1 by more than
+    returned; ``log_a``, ``t_qp``, ``flag`` and ``scratch`` (bools) are
+    overwritten. Raises :class:`ZeroDenominator` for an outcome with a
+    positive numerator and no disagreement mass (one that is never drawn),
+    and :class:`EstimatorOutOfRange` for a value above 1 by more than
     :data:`F_RANGE_TOL`; smaller excursions are clamped.
     """
-    # in place: numer = 1 where a Q/P factor is 0, else 1 - prod Q/P, which
-    # is -inf (so f = 0) where the Q/P product overflows
+    # in place: numer = 1 - prod Q/P, which is -inf (so f = 0) where the Q/P
+    # product overflows
     with np.errstate(over="ignore"):
         numer = np.negative(np.expm1(t_qp, out=t_qp), out=t_qp)
-    np.copyto(numer, 1.0, where=qp_any)
     denom = np.negative(np.expm1(log_a, out=log_a), out=log_a)
     live = np.greater(numer, 0.0, out=flag)
-    if not np.all(np.greater(denom, 0.0, out=qp_any), where=live):
+    if not np.all(np.greater(denom, 0.0, out=scratch), where=live):
         raise ZeroDenominator("an outcome's disagreement mass is zero")
     out.fill(0.0)
     np.divide(numer, denom, out=out, where=live)
@@ -495,7 +488,7 @@ def _sample_panels(
     factor the previous step chose, which is positive.
     """
     suffix_log = stats.suffix_log
-    for rows, floats, (flag, qp_any), picks in _draw_panels(
+    for rows, floats, (flag, spare), picks in _draw_panels(
         seed,
         count,
         steps,
@@ -510,7 +503,6 @@ def _sample_panels(
         log_a.fill(0.0)
         if not want_assignments:
             t_qp.fill(0.0)
-            qp_any.fill(False)
 
         for k, uniform in zip(steps, rows):
             lo, hi = tables.bounds[k], tables.bounds[k + 1]
@@ -538,11 +530,8 @@ def _sample_panels(
             if not want_assignments:
                 log_qp_k = tables.log_qp[lo:hi]
                 np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
-                if tables.q_zero_in[k]:
-                    q_zero_k = tables.q_zero[lo:hi].take(picked, out=flag, mode="clip")
-                    np.logical_or(qp_any, q_zero_k, out=qp_any)
 
-        yield picks if want_assignments else _f_stage(log_a, t_qp, qp_any, flag, exponent)
+        yield picks if want_assignments else _f_stage(log_a, t_qp, flag, spare, exponent)
 
 
 def sample_pi_batch(
@@ -571,8 +560,12 @@ def sample_pi_batch(
         raise IdenticalDistributions(
             "the distributions are identical; the conditional law is undefined"
         )
+    try:
+        out = np.empty((count, p.n), dtype=np.int64)
+    except ValueError:  # a shape numpy cannot make; a true MemoryError propagates
+        msg = f"count={count} draws of n={p.n} coordinates do not fit in one array"
+        raise InvalidParameter(msg) from None
     tables = _PairTables(p, q)
-    out = np.empty((count, p.n), dtype=np.int64)
     offset = 0
     for selections in _sample_panels(
         tables,

@@ -244,7 +244,9 @@ def _check_real(name: str, value: float) -> float:
 def check_epsilon(epsilon: float) -> float:
     """Validate a finite positive relative error and return it as a plain float."""
     value = _check_real("epsilon", epsilon)
-    if not (math.isfinite(value) and value > 0.0):
+    if math.isnan(value) or value == math.inf:
+        raise InvalidParameter(f"epsilon must be finite, got {epsilon!r}")
+    if not value > 0.0:
         raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
     return value
 

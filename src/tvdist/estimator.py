@@ -7,15 +7,17 @@ disagreement law and averages, per outcome ``omega``,
                       / (1 - prod_i min(P_i, Q_i)(w_i)/P_i(w_i))},
 
 which lies in [0, 1] and has mean tv(P, Q) / pr_diff, so the final report
-is ``mean(f) * pr_diff``. Both products are evaluated as log sums with
-zero flags (see :mod:`tvdist.coupling`); the sample mean is accumulated
-with error-free summation per block and across blocks, so results are
-bit-identical for a fixed configuration regardless of worker count.
+is ``mean(f) * pr_diff``. Both products are evaluated as log sums, a zero
+factor being a log of ``-inf`` (see :mod:`tvdist.coupling`); the sample
+mean is accumulated with error-free summation per block and across blocks,
+so results are bit-identical for a fixed configuration regardless of
+worker count.
 
 A direct baseline, :func:`naive_estimate_tv`, averages
-``max{0, 1 - Q(omega)/P(omega)}`` over draws from P. It is unbiased but
-its relative error degrades as the distance shrinks, which is the regime
-the conditional sampler is built for.
+``max{0, 1 - Q(omega)/P(omega)}`` over draws from P: ``f`` with a
+denominator of 1, from the same f stage. It is unbiased but its relative
+error degrades as the distance shrinks, which is the regime the
+conditional sampler is built for.
 """
 
 from __future__ import annotations
@@ -152,12 +154,11 @@ def estimator_f(
         i = int(np.argmax(outside.any(axis=1))) + 1
         raise ZeroDenominator(f"coordinate {i}: outcome lies outside the support of P")
     m = len(values)
-    log_a, t_qp, qp_any = np.zeros(m), np.zeros(m), np.zeros(m, dtype=bool)
+    log_a, t_qp = np.zeros(m), np.zeros(m)
     for row in picked:
         np.add(log_a, tables.log_r[row], out=log_a)
         np.add(t_qp, tables.log_qp[row], out=t_qp)
-        np.logical_or(qp_any, tables.q_zero[row], out=qp_any)
-    return _f_stage(log_a, t_qp, qp_any, np.empty(m, dtype=bool), np.empty(m))
+    return _f_stage(log_a, t_qp, *np.empty((2, m), dtype=bool), np.empty(m))
 
 
 def estimate_tv(
@@ -214,8 +215,10 @@ def naive_estimate_tv(
 
     Unbiased for tv(P, Q) but with no relative-error guarantee: when the
     distance is tiny and carried by rare outcomes, typical runs return 0.
-    Uses the same block/stream layout as :func:`estimate_tv` and reports
-    the mean with a scale factor of 1 (``pr_diff`` field set to 1.0).
+    Each value is the f stage's with a zero ``min(P, Q)/P`` product, whose
+    denominator is exactly 1. Uses the block/stream layout and the steps
+    (``d_i != 0``) of :func:`estimate_tv`, and reports the mean with a
+    scale factor of 1 (``pr_diff`` field set to 1.0).
     """
     start = time.perf_counter()
     d = coordinate_tvs(p, q)
@@ -223,26 +226,21 @@ def naive_estimate_tv(
     samples = check_count("samples", samples)
     tables = _PairTables(p, q)
     bounds = list(zip(tables.bounds, tables.bounds[1:]))
-    # a coordinate whose Q/P ratios are all exactly 1 cannot change g
-    moves = np.logical_or.reduceat((tables.log_qp != 0.0) | tables.q_zero, p.offsets[:-1])
-    steps = np.flatnonzero(moves).tolist()
+    steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
     cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
 
     def g_panels() -> Iterator[np.ndarray]:
-        for rows, (log_qp,), (q_zero, flag), (chosen,) in _draw_panels(
-            seed, samples, steps, p.n, floats=1, flags=2, picks=1
+        for rows, (log_a, log_qp, g), (flag, spare), (chosen,) in _draw_panels(
+            seed, samples, steps, p.n, floats=3, flags=2, picks=1
         ):
+            log_a.fill(-np.inf)
             log_qp.fill(0.0)
-            q_zero.fill(False)
             for k, uniform in zip(steps, rows):
                 (lo, hi), cum = bounds[k], cums[k]
                 threshold = np.multiply(uniform, cum[-1], out=uniform)
                 _select(cum, threshold, cum[-1], chosen, flag)
-                q_zero |= tables.q_zero[lo:hi][chosen]
                 log_qp += tables.log_qp[lo:hi][chosen]
-            with np.errstate(over="ignore"):
-                g = np.where(q_zero, 1.0, np.maximum(-np.expm1(log_qp), 0.0))
-            yield g
+            yield _f_stage(log_a, log_qp, flag, spare, g)
 
     mean_g = _block_mean(g_panels(), samples)
     return EstimateResult(

@@ -258,7 +258,7 @@ BAD_FLAGS = [
         ["naive", "--samples", "9", "--seed", str(2**64)],
         f"argument --seed: seed must be in [0, 2**64), got {2**64}",
     ),
-    (["info", "--epsilon", "inf"], "argument --epsilon: epsilon must be positive, got inf"),
+    (["info", "--epsilon", "inf"], "argument --epsilon: epsilon must be finite, got inf"),
     (["info", "--delta", "0"], "argument --delta: delta must be in (0, 1), got 0.0"),
     (["estimate", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
     (["naive", "--samples", "1.5"], "argument --samples: invalid int value: '1.5'"),

@@ -248,6 +248,10 @@ def test_sample_pi_batch_rejects_bad_arguments(bernoulli_pair):
         tv.sample_pi_batch(p, q, stats, -1, 10)
     with pytest.raises(InvalidParameter):
         tv.sample_pi_batch(p, q, stats, 2**64, 10)
+    # counts whose (count, n) output numpy cannot shape, so nothing is allocated
+    for count in (10**20, 2**62):
+        with pytest.raises(InvalidParameter, match=f"count={count} draws of n=2 "):
+            tv.sample_pi_batch(p, q, stats, 1, count)
 
 
 def test_samples_avoid_zero_probability_categories():

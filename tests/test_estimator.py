@@ -269,8 +269,9 @@ def test_accuracy_rejects_bools_and_non_reals(entry, name, value):
     [
         ("epsilon", 0.0, "epsilon must be positive, got 0.0"),
         ("epsilon", -1, "epsilon must be positive, got -1"),
-        ("epsilon", math.inf, "epsilon must be positive, got inf"),
-        ("epsilon", math.nan, "epsilon must be positive, got nan"),
+        ("epsilon", math.inf, "epsilon must be finite, got inf"),
+        ("epsilon", math.nan, "epsilon must be finite, got nan"),
+        ("epsilon", -math.inf, "epsilon must be positive, got -inf"),
         pytest.param(
             "epsilon", -(10**400), f"epsilon must be positive, got {-(10**400)}", id="-1e400"
         ),
