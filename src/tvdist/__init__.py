@@ -6,8 +6,16 @@ exhaustive-enumeration oracle and a plain Monte Carlo baseline for
 verification.
 """
 
-from .coupling import GreedyCouplingStats, build_stats, sample_pi_batch
-from .distributions import ProductDistribution, are_identical, validate
+import importlib
+
+from .distributions import (
+    GreedyCouplingStats,
+    ProductDistribution,
+    are_identical,
+    build_stats,
+    sample_count,
+    validate,
+)
 from .errors import (
     BudgetExceeded,
     DegenerateConditional,
@@ -26,30 +34,27 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
 )
-from .estimator import (
-    EstimateResult,
-    EstimatorConfig,
-    estimate_tv,
-    estimator_f,
-    naive_estimate_tv,
-    sample_count,
-)
 
 __version__ = "0.1.0"
 
-#: The oracle's names, imported on first access: CLI commands other than
-#: ``exact`` then never load ``fractions`` and ``decimal``.
-_ORACLE_NAMES = frozenset(
-    "EnumerationBudget exact_expectation_f exact_pi exact_tv".split()
-)
+#: Names and submodules imported on first access, so numpy loads only to draw.
+_ON_DEMAND = {
+    name: module
+    for module, names in {
+        "coupling": "coupling sample_pi_batch",
+        "estimator": "estimator EstimateResult EstimatorConfig estimate_tv estimator_f "
+        "naive_estimate_tv",
+        "oracle": "oracle EnumerationBudget exact_expectation_f exact_pi exact_tv",
+    }.items()
+    for name in names.split()
+}
 
 
 def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
+    if name not in _ON_DEMAND:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    return getattr(oracle, name)
+    module = importlib.import_module(f".{_ON_DEMAND[name]}", __name__)
+    return module if name == _ON_DEMAND[name] else getattr(module, name)
 
 
 __all__ = [

@@ -22,14 +22,15 @@ from collections.abc import Callable
 from dataclasses import fields, is_dataclass
 from typing import Any
 
-from .coupling import build_stats
 from .distributions import (
     ProductDistribution,
+    build_stats,
     check_count,
     check_delta,
     check_epsilon,
     check_seed,
     require_same_shape,
+    sample_count,
     validate,
 )
 from .errors import (
@@ -39,12 +40,6 @@ from .errors import (
     InternalInvariantError,
     InvalidParameter,
     ValidationError,
-)
-from .estimator import (
-    EstimatorConfig,
-    estimate_tv,
-    naive_estimate_tv,
-    sample_count,
 )
 
 EXIT_OK = 0
@@ -68,8 +63,7 @@ def load_instance(path: str) -> tuple[ProductDistribution, ProductDistribution, 
     for key in ("p", "q"):
         if key not in document:
             raise InstanceFormatError(f"missing key {key!r}")
-    p = validate(document["p"])
-    q = validate(document["q"])
+    p, q = validate(document["p"]), validate(document["q"])
     require_same_shape(p, q)
     return p, q, digest
 
@@ -168,14 +162,12 @@ def _report(
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
+    from .estimator import EstimatorConfig, estimate_tv
+
     p, q, digest = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     config = EstimatorConfig(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        seed=seed,
-        samples_override=args.samples,
-        workers=args.workers,
+        args.epsilon, args.delta, seed, samples_override=args.samples, workers=args.workers
     )
     result = estimate_tv(p, q, config)
     report = _report(
@@ -208,6 +200,8 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
 
 
 def _cmd_naive(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
+    from .estimator import naive_estimate_tv
+
     p, q, digest = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     result = naive_estimate_tv(p, q, args.samples, seed)

@@ -5,11 +5,12 @@ that coupling the chance that the two joint samples agree factorizes, so
 
     pr_diff = Pr[X != Y] = 1 - prod_i (1 - d_i),      d_i = tv(P_i, Q_i),
 
-is computable exactly. This module also draws exact samples from the
-conditional law ``pi(omega) = Pr[X = omega | X != Y]`` one coordinate at a
-time: after fixing a prefix, the chance that the pair still agrees is the
-prefix's product of ``min(P_i, Q_i)/P_i`` ratios times a suffix product of
-``(1 - d_i)`` factors, which gives closed-form conditional weights
+is computable exactly (:func:`~tvdist.distributions.build_stats`). This
+module draws exact samples from the conditional law ``pi(omega) =
+Pr[X = omega | X != Y]`` one coordinate at a time: after fixing a prefix,
+the chance that the pair still agrees is the prefix's product of
+``min(P_i, Q_i)/P_i`` ratios times a suffix product of ``(1 - d_i)``
+factors, which gives closed-form conditional weights
 
     w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k),
     sum_c w_k(c) = 1 - A_{k-1} * B_{k-1}.
@@ -48,18 +49,23 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import ProductDistribution, check_count, check_seed, coordinate_tvs
+from .distributions import (
+    GreedyCouplingStats,
+    ProductDistribution,
+    _entries,
+    build_stats,
+    check_count,
+    check_seed,
+)
 from .errors import (
     DegenerateConditional,
     EstimatorOutOfRange,
     IdenticalDistributions,
     InvalidParameter,
-    SlackOnlyDifference,
     ZeroDenominator,
 )
 
@@ -261,54 +267,11 @@ def _draw_panels(
             yield (rows, *views)
 
 
-@dataclass(frozen=True)
-class GreedyCouplingStats:
-    """Aggregate quantities of the greedy coupling for one (P, Q) pair.
-
-    ``suffix_log[k]`` is the log of ``B_k = prod_{i>k} (1 - d_i)`` for
-    ``k = 0..n`` (so ``suffix_log[n] = 0`` and ``pr_diff = 1 - B_0``). It is
-    ``-inf`` wherever a ``d_i = 1`` coordinate lies in the suffix, making
-    ``B_k`` exactly 0: the zero flag :class:`_PairTables` uses too.
-    """
-
-    d: tuple[float, ...]
-    pr_diff: float
-    suffix_log: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-
-def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplingStats:
-    """Per-coordinate TV distances, suffix products, and Pr[X != Y].
-
-    ``pr_diff`` is computed as ``-expm1(sum_i log1p(-d_i))`` so it stays
-    accurate when every ``d_i`` is tiny; a coordinate with ``d_i = 1`` adds
-    a log of ``-inf``, so ``pr_diff`` is exactly 1.
-
-    Raises :class:`SlackOnlyDifference` for a coordinate with ``d_i > 0``
-    whose Q is at least P wherever P is positive: the coupling cannot
-    disagree there, so ``pr_diff`` would count mass the conditional law
-    never reaches.
-    """
-    d = coordinate_tvs(p, q)
-    below = np.logical_or.reduceat(q.probs < p.probs, p.offsets[:-1])
-    slack = np.flatnonzero(np.greater(d, 0.0) & ~below)
-    if slack.size:
-        raise SlackOnlyDifference(int(slack[0]) + 1, d[slack[0]])
-    # summed from the last coordinate down; log1p(-1) would raise
-    logs = [math.log1p(-x) if x < 1.0 else -math.inf for x in reversed(d)]
-    suffix_log = tuple(itertools.accumulate(logs, initial=0.0))[::-1]
-    pr_diff = -math.expm1(suffix_log[0]) + 0.0
-    return GreedyCouplingStats(d=d, pr_diff=pr_diff, suffix_log=suffix_log)
-
-
 class _PairTables:
     """Per-category lookup tables shared by the sampling and estimate kernels.
 
-    Categories of all coordinates are laid out back to back; coordinate
-    ``k`` (0-based) owns ``bounds[k]:bounds[k + 1]`` of each flat array:
+    Categories of the ``steps`` coordinates lie back to back; coordinate ``k``
+    (0-based) owns ``bounds[k]:bounds[k + 1]`` of each array (empty if not stepped):
       - ``p``: ``P_k(c)``,
       - ``log_r``: log of the ``min(P, Q)/P`` ratio,
       - ``log_qp``: log of the ``Q/P`` ratio (0 where ``P = 0``: such a
@@ -325,18 +288,21 @@ class _PairTables:
 
     __slots__ = ("p", "log_r", "log_qp", "bounds", "max_q")
 
-    def __init__(self, p: ProductDistribution, q: ProductDistribution) -> None:
-        self.p = pv = p.probs
+    def __init__(self, p: ProductDistribution, q: ProductDistribution, steps: list[int]):
+        stepped = set(steps)
+        widths = [size * (k in stepped) for k, size in enumerate(p.domain_sizes)]
+        self.bounds = list(itertools.accumulate(widths, initial=0))
+        self.max_q = max(widths)
+        self.p = pv = np.fromiter(_entries(p.rows[k] for k in steps), np.float64)
+        qv = np.fromiter(_entries(q.rows[k] for k in steps), np.float64)
         pos = pv > 0.0
         with np.errstate(over="ignore"):
-            rel = (q.probs - pv) / np.where(pos, pv, 1.0)
+            rel = (qv - pv) / np.where(pos, pv, 1.0)
         far = pos & ~((rel > -1.0) & (rel < np.inf))
         self.log_qp = np.log1p(np.where(pos & ~far, rel, 0.0))
         with np.errstate(divide="ignore"):
-            self.log_qp[far] = np.log(q.probs[far]) - np.log(pv[far])
+            self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
         self.log_r = np.minimum(self.log_qp, 0.0)
-        self.bounds = p.offsets.tolist()
-        self.max_q = max(p.domain_sizes)
 
 
 def _select(
@@ -565,12 +531,12 @@ def sample_pi_batch(
     except ValueError:  # a shape numpy cannot make; a true MemoryError propagates
         msg = f"count={count} draws of n={p.n} coordinates do not fit in one array"
         raise InvalidParameter(msg) from None
-    tables = _PairTables(p, q)
+    steps = list(range(p.n))
     offset = 0
     for selections in _sample_panels(
-        tables,
+        _PairTables(p, q, steps),
         stats,
-        list(range(p.n)),
+        steps,
         seed,
         count,
         want_assignments=True,

@@ -10,56 +10,70 @@ exactly as given (no silent renormalization).
 
 This module owns every input check, of instances and of parameters alike
 (``check_seed``, ``check_count``, ``check_epsilon``, ``check_delta``): the
-estimator, sampler, oracle and CLI flags call these, and copy none.
+estimator, sampler, oracle and CLI flags call these, and copy none. So is
+all the work before the first draw (:func:`build_stats`,
+:func:`sample_count`), in plain Python: this module imports no numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     DomainMismatch,
     EmptyInput,
-    IndexOutOfRange,
     InstanceFormatError,
     InvalidParameter,
     MarginalNotNormalized,
     NegativeProbability,
+    SlackOnlyDifference,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Absolute tolerance on |sum(probs) - 1| accepted by validation. Chosen to
 #: admit hand-written decimal inputs while rejecting malformed vectors.
 NORMALIZATION_TOL = 1e-9
 
+_entries = itertools.chain.from_iterable
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
 class ProductDistribution:
     """An n-coordinate product distribution, built by :func:`validate`.
 
-    ``probs`` is one read-only float64 array of every coordinate's vector in
-    turn: coordinate ``k`` (0-based) owns ``probs[offsets[k]:offsets[k + 1]]``,
-    of length ``domain_sizes[k]``.
+    ``rows[k]`` is coordinate ``k``'s (0-based) vector of floats. The
+    read-only float64 array ``probs`` holds them in turn, coordinate ``k``
+    owning ``probs[offsets[k]:offsets[k + 1]]``; both are built on first use.
     """
 
-    probs: np.ndarray
-    offsets: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
     domain_sizes: tuple[int, ...]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProductDistribution) and (
-            self.domain_sizes == other.domain_sizes
-            and np.array_equal(self.probs, other.probs)
-        )
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        import numpy as np
 
-    def __hash__(self) -> int:
-        return hash(tuple(self.probs.tolist()))
+        offsets = np.cumsum((0, *self.domain_sizes), dtype=np.intp)
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        import numpy as np
+
+        probs = np.fromiter(_entries(self.rows), np.float64, int(self.offsets[-1]))
+        probs.flags.writeable = False
+        return probs
 
     @property
     def n(self) -> int:
@@ -71,13 +85,9 @@ class ProductDistribution:
 
 def _row_floats(i: int, raw: Sequence[float]) -> tuple[float, ...]:
     """Coordinate ``i``'s entries as floats, naming a row or entry that is not one."""
-    c, entry = None, raw
+    c, entry, values = None, raw, []
     try:
-        row = tuple(raw)
-        if {float}.issuperset(map(type, row)):
-            return row
-        values = []
-        for c, entry in enumerate(row, start=1):
+        for c, entry in enumerate(tuple(raw), start=1):
             if isinstance(entry, (bool, str)):
                 raise TypeError  # float() would take it
             values.append(float(entry))
@@ -113,39 +123,40 @@ def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
     if isinstance(p_raw, (str, bytes, Mapping)) or not isinstance(p_raw, Iterable):
         kind = type(p_raw).__name__
         raise InstanceFormatError(f"a distribution must be a list of rows, got {kind}")
-    rows = [_row_floats(i, raw) for i, raw in enumerate(p_raw, start=1)]
+    raws, rows = list(p_raw), []
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        for raw in raws:
+            rows.append(tuple(raw))
+    if len(rows) < len(raws) or not {float}.issuperset(map(type, _entries(rows))):
+        # names the first row or entry that is not a float, in row order
+        rows = [_row_floats(i, raw) for i, raw in enumerate(rows + raws[len(rows) :], 1)]
     if not rows:
         raise EmptyInput("a product distribution needs at least one coordinate")
     sizes = tuple(map(len, rows))
-    offsets = np.cumsum((0, *sizes), dtype=np.intp)
-    probs = np.fromiter(itertools.chain.from_iterable(rows), np.float64, int(offsets[-1]))
-    checked = sizes.index(0) if 0 in sizes else len(rows)
-    head, starts = probs[: offsets[checked]], offsets[:checked]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rough = np.add.reduceat(head, starts)
-    # near 1, a rounded sum of q non-negative entries is within q * 2**-52 of
-    # the exact one; every other row is checked entry by entry, in row order
-    margin = np.diff(offsets[: checked + 1]) * 2.0**-50
-    suspect = np.logical_or.reduceat(head < 0.0, starts)
-    suspect |= ~(np.abs(rough - 1.0) <= NORMALIZATION_TOL - margin)
-    for k in np.flatnonzero(suspect).tolist():
-        for c, value in enumerate(rows[k], start=1):
+    # all rows at once, where a float sum of q non-negative entries is within
+    # q * 2**-52 of the exact one near 1; any doubt sends them to the exact checks
+    bound = NORMALIZATION_TOL - max(sizes) * 2.0**-50
+    clean = 0 not in sizes and min(_entries(rows)) >= 0.0
+    clean = clean and all(abs(total - 1.0) <= bound for total in map(sum, rows))
+    for i, row in enumerate([] if clean else rows, start=1):
+        if not row:
+            raise EmptyInput(f"coordinate {i} has no categories")
+        for c, value in enumerate(row, start=1):
             if value < 0.0:
-                raise NegativeProbability(k + 1, c, value)
+                raise NegativeProbability(i, c, value)
         try:
-            total = math.fsum(rows[k])
+            total = math.fsum(row)
         except OverflowError:  # finite entries whose sum passes the largest double
             total = math.inf
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise MarginalNotNormalized(k + 1, total)
-    if checked < len(rows):
-        raise EmptyInput(f"coordinate {checked + 1} has no categories")
-    probs.flags.writeable = offsets.flags.writeable = False
-    return ProductDistribution(probs, offsets, sizes)
+            raise MarginalNotNormalized(i, total)
+    return ProductDistribution(tuple(rows), sizes)
 
 
 def require_same_shape(p: ProductDistribution, q: ProductDistribution) -> None:
     """Raise :class:`DomainMismatch` unless ``p`` and ``q`` have identical shape."""
+    if p.domain_sizes == q.domain_sizes:
+        return
     if p.n != q.n:
         raise DomainMismatch(f"dimension mismatch: {p.n} vs {q.n} coordinates")
     for i, (a, b) in enumerate(zip(p.domain_sizes, q.domain_sizes), start=1):
@@ -153,28 +164,6 @@ def require_same_shape(p: ProductDistribution, q: ProductDistribution) -> None:
             raise DomainMismatch(
                 f"coordinate {i}: domain sizes differ ({a} vs {b})", coordinate=i
             )
-
-
-def check_assignment(dist: ProductDistribution, assignments: np.ndarray) -> np.ndarray:
-    """Check an ``(m, n)`` array of 1-based outcomes against ``dist``.
-
-    Returns the array as ``intp``. Raises :class:`DomainMismatch` unless it
-    is an integer array with one column per coordinate, and
-    :class:`IndexOutOfRange` naming the first coordinate with an entry
-    outside its categories.
-    """
-    values = np.asarray(assignments)
-    if values.ndim != 2 or values.shape[1] != dist.n or values.dtype.kind not in "iu":
-        raise DomainMismatch(
-            f"assignments must be an integer (m, {dist.n}) array, "
-            f"got {values.dtype} of shape {values.shape}"
-        )
-    sizes = np.array(dist.domain_sizes)
-    bad = (values < 1) | (values > sizes)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=0)))
-        raise IndexOutOfRange(i + 1, int(values[np.argmax(bad[:, i]), i]), int(sizes[i]))
-    return values.astype(np.intp, copy=False)
 
 
 def coordinate_tvs(p: ProductDistribution, q: ProductDistribution) -> tuple[float, ...]:
@@ -185,11 +174,10 @@ def coordinate_tvs(p: ProductDistribution, q: ProductDistribution) -> tuple[floa
     1, which the validation tolerance can pass on disjoint supports.
     """
     require_same_shape(p, q)
-    gap, bounds = np.abs(p.probs - q.probs), p.offsets.tolist()
-    d = [0.0] * p.n
-    for k in np.flatnonzero(np.logical_or.reduceat(gap > 0, p.offsets[:-1])).tolist():
-        d[k] = min(0.5 * math.fsum(memoryview(gap)[bounds[k] : bounds[k + 1]]), 1.0)
-    return tuple(d)
+    return tuple(
+        min(0.5 * math.fsum(map(abs, map(operator.sub, a, b))), 1.0) if a != b else 0.0
+        for a, b in zip(p.rows, q.rows)
+    )
 
 
 def are_identical(p: ProductDistribution, q: ProductDistribution) -> bool:
@@ -199,8 +187,49 @@ def are_identical(p: ProductDistribution, q: ProductDistribution) -> bool:
     change what is being estimated downstream.
     """
     require_same_shape(p, q)
-    # an exact sum of |P - Q| is zero only where every term is
-    return bool(np.array_equal(p.probs, q.probs))
+    return p.rows == q.rows
+
+
+@dataclass(frozen=True)
+class GreedyCouplingStats:
+    """Aggregate quantities of the greedy coupling for one (P, Q) pair.
+
+    ``suffix_log[k]`` is the log of ``B_k = prod_{i>k} (1 - d_i)`` for
+    ``k = 0..n`` (so ``suffix_log[n] = 0`` and ``pr_diff = 1 - B_0``). It is
+    ``-inf`` wherever a ``d_i = 1`` coordinate lies in the suffix, making
+    ``B_k`` exactly 0: the zero flag the sampling tables use too.
+    """
+
+    d: tuple[float, ...]
+    pr_diff: float
+    suffix_log: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.d)
+
+
+def build_stats(p: ProductDistribution, q: ProductDistribution) -> GreedyCouplingStats:
+    """Per-coordinate TV distances, suffix products, and Pr[X != Y].
+
+    ``pr_diff`` is computed as ``-expm1(sum_i log1p(-d_i))`` so it stays
+    accurate when every ``d_i`` is tiny; a coordinate with ``d_i = 1`` adds
+    a log of ``-inf``, so ``pr_diff`` is exactly 1.
+
+    Raises :class:`SlackOnlyDifference` for a coordinate with ``d_i > 0``
+    whose Q is at least P wherever P is positive: the coupling cannot
+    disagree there, so ``pr_diff`` would count mass the conditional law
+    never reaches.
+    """
+    d = coordinate_tvs(p, q)
+    for k in itertools.compress(range(len(d)), d):  # the d_k > 0 coordinates
+        if not any(map(operator.lt, q.rows[k], p.rows[k])):
+            raise SlackOnlyDifference(k + 1, d[k])
+    # summed from the last coordinate down; log1p(-1) would raise
+    logs = [math.log1p(-x) if x < 1.0 else -math.inf for x in reversed(d)]
+    suffix_log = tuple(itertools.accumulate(logs, initial=0.0))[::-1]
+    pr_diff = -math.expm1(suffix_log[0]) + 0.0
+    return GreedyCouplingStats(d=d, pr_diff=pr_diff, suffix_log=suffix_log)
 
 
 def _check_integer(name: str, value: int) -> int:
@@ -232,7 +261,7 @@ def check_count(name: str, value: int) -> int:
 
 def _check_real(name: str, value: float) -> float:
     """Return a Python or numpy real number (not a bool) as a plain float."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         kind = type(value).__name__
         raise InvalidParameter(f"{name} must be a real number, got {kind}")
     try:
@@ -257,3 +286,22 @@ def check_delta(delta: float) -> float:
     if not 0.0 < value < 1.0:
         raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
     return value
+
+
+def sample_count(n: int, epsilon: float, delta: float) -> int:
+    """Number of draws needed for a (1 +- epsilon) answer with confidence 1 - delta.
+
+    Evaluates ``ceil((n^2 / epsilon^2) * ln(1/delta')) + 1`` with natural
+    log and ``delta' = min(delta, 1/2)``; the clamp keeps the concentration
+    argument valid for large delta at the cost of extra samples. Raises
+    :class:`InvalidParameter` where that count is past the range of a double.
+    """
+    n = check_count("n", n)
+    epsilon, delta = check_epsilon(epsilon), check_delta(delta)
+    target = min(delta, 0.5)
+    try:
+        return math.ceil((n * n) / (epsilon * epsilon) * math.log(1.0 / target)) + 1
+    except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows to 0, or m to inf
+        raise InvalidParameter(
+            f"n={n}, epsilon={epsilon!r}, delta={delta!r} need a count past double range"
+        ) from None

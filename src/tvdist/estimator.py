@@ -7,11 +7,12 @@ disagreement law and averages, per outcome ``omega``,
                       / (1 - prod_i min(P_i, Q_i)(w_i)/P_i(w_i))},
 
 which lies in [0, 1] and has mean tv(P, Q) / pr_diff, so the final report
-is ``mean(f) * pr_diff``. Both products are evaluated as log sums, a zero
-factor being a log of ``-inf`` (see :mod:`tvdist.coupling`); the sample
-mean is accumulated with error-free summation per block and across blocks,
-so results are bit-identical for a fixed configuration regardless of
-worker count.
+is ``mean(f) * pr_diff`` (``pr_diff`` and the draw count come from
+:mod:`tvdist.distributions`). Both products are evaluated as log sums, a
+zero factor being a log of ``-inf`` (see :mod:`tvdist.coupling`); the
+sample mean is accumulated with error-free summation per block and across
+blocks, so results are bit-identical for a fixed configuration regardless
+of worker count.
 
 A direct baseline, :func:`naive_estimate_tv`, averages
 ``max{0, 1 - Q(omega)/P(omega)}`` over draws from P: ``f`` with a
@@ -30,25 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (
-    _draw_panels,
-    _f_stage,
-    _PairTables,
-    _sample_panels,
-    _select,
-    build_stats,
-)
+from .coupling import _draw_panels, _f_stage, _PairTables, _sample_panels, _select
 from .distributions import (
     ProductDistribution,
-    check_assignment,
+    build_stats,
     check_count,
     check_delta,
     check_epsilon,
     check_seed,
     coordinate_tvs,
     require_same_shape,
+    sample_count,
 )
-from .errors import InvalidParameter, ZeroDenominator
+from .errors import DomainMismatch, IndexOutOfRange, ZeroDenominator
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -107,23 +102,25 @@ def _block_mean(panels: Iterable[np.ndarray], count: int) -> float:
     return math.fsum(sums) / count
 
 
-def sample_count(n: int, epsilon: float, delta: float) -> int:
-    """Number of draws needed for a (1 +- epsilon) answer with confidence 1 - delta.
+def check_assignment(dist: ProductDistribution, assignments: np.ndarray) -> np.ndarray:
+    """Return an ``(m, n)`` array of 1-based outcomes of ``dist`` as ``intp``.
 
-    Evaluates ``ceil((n^2 / epsilon^2) * ln(1/delta')) + 1`` with natural
-    log and ``delta' = min(delta, 1/2)``; the clamp keeps the concentration
-    argument valid for large delta at the cost of extra samples. Raises
-    :class:`InvalidParameter` where that count is past the range of a double.
+    Raises :class:`DomainMismatch` unless it is an integer array with one
+    column per coordinate, and :class:`IndexOutOfRange` naming the first
+    coordinate with an entry outside its categories.
     """
-    n = check_count("n", n)
-    epsilon, delta = check_epsilon(epsilon), check_delta(delta)
-    target = min(delta, 0.5)
-    try:
-        return math.ceil((n * n) / (epsilon * epsilon) * math.log(1.0 / target)) + 1
-    except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows to 0, or m to inf
-        raise InvalidParameter(
-            f"n={n}, epsilon={epsilon!r}, delta={delta!r} need a count past double range"
-        ) from None
+    values = np.asarray(assignments)
+    if values.ndim != 2 or values.shape[1] != dist.n or values.dtype.kind not in "iu":
+        raise DomainMismatch(
+            f"assignments must be an integer (m, {dist.n}) array, "
+            f"got {values.dtype} of shape {values.shape}"
+        )
+    sizes = np.array(dist.domain_sizes)
+    bad = (values < 1) | (values > sizes)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise IndexOutOfRange(i + 1, int(values[np.argmax(bad[:, i]), i]), int(sizes[i]))
+    return values.astype(np.intp, copy=False)
 
 
 def estimator_f(
@@ -146,9 +143,9 @@ def estimator_f(
     """
     require_same_shape(p, q)
     values = check_assignment(p, assignments)
-    tables = _PairTables(p, q)
+    tables = _PairTables(p, q, list(range(p.n)))
     # flat table index of each outcome's category, one row per coordinate
-    picked = (values - 1 + p.offsets[:-1]).T
+    picked = (values - 1 + tables.bounds[:-1]).T
     outside = tables.p[picked] == 0.0
     if outside.any():
         i = int(np.argmax(outside.any(axis=1))) + 1
@@ -189,9 +186,9 @@ def estimate_tv(
             elapsed_seconds=time.perf_counter() - start,
         )
     m = config.samples_override or sample_count(p.n, config.epsilon, config.delta)
-    tables = _PairTables(p, q)
     # d_k = 0 coordinates cannot change f (see _sample_panels)
     steps = [k for k, d in enumerate(stats.d) if d != 0.0]
+    tables = _PairTables(p, q, steps)
     prefetch = config.workers > 1
     f_panels = _sample_panels(
         tables, stats, steps, config.seed, m, want_assignments=False, prefetch=prefetch
@@ -224,10 +221,9 @@ def naive_estimate_tv(
     d = coordinate_tvs(p, q)
     check_seed(seed)
     samples = check_count("samples", samples)
-    tables = _PairTables(p, q)
-    bounds = list(zip(tables.bounds, tables.bounds[1:]))
     steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
-    cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
+    tables = _PairTables(p, q, steps)
+    cums = {k: np.cumsum(p.rows[k]) for k in steps}
 
     def g_panels() -> Iterator[np.ndarray]:
         for rows, (log_a, log_qp, g), (flag, spare), (chosen,) in _draw_panels(
@@ -236,10 +232,10 @@ def naive_estimate_tv(
             log_a.fill(-np.inf)
             log_qp.fill(0.0)
             for k, uniform in zip(steps, rows):
-                (lo, hi), cum = bounds[k], cums[k]
+                lo, cum = tables.bounds[k], cums[k]
                 threshold = np.multiply(uniform, cum[-1], out=uniform)
                 _select(cum, threshold, cum[-1], chosen, flag)
-                log_qp += tables.log_qp[lo:hi][chosen]
+                log_qp += tables.log_qp[lo : lo + cum.size][chosen]
             yield _f_stage(log_a, log_qp, flag, spare, g)
 
     mean_g = _block_mean(g_panels(), samples)

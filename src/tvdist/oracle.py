@@ -15,11 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .distributions import ProductDistribution, check_count, require_same_shape
 from .errors import BudgetExceeded, IdenticalDistributions
-from .estimator import estimator_f
 
 DEFAULT_MAX_STATES = 1 << 20
 
@@ -45,18 +42,7 @@ def _checked_columns(
     states = p.state_count()
     if states > limit:
         raise BudgetExceeded(states, limit)
-    return [_fraction_columns(p), _fraction_columns(q)]
-
-
-def _fraction_columns(dist: ProductDistribution) -> list[list[Fraction]]:
-    values, ends = [Fraction(x) for x in dist.probs.tolist()], dist.offsets.tolist()
-    return [values[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _min_columns(
-    p_cols: list[list[Fraction]], q_cols: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    return [[min(a, b) for a, b in zip(pc, qc)] for pc, qc in zip(p_cols, q_cols)]
+    return [[list(map(Fraction, row)) for row in dist.rows] for dist in (p, q)]
 
 
 def _iter_states(
@@ -124,7 +110,7 @@ def _disagreement_states(
     entries = [
         (digits, mass_p - agree_mass)
         for digits, (mass_p, agree_mass) in _iter_states(
-            [p_cols, _min_columns(p_cols, q_cols)]
+            [p_cols, [list(map(min, pc, qc)) for pc, qc in zip(p_cols, q_cols)]]
         )
     ]
     if not any(gap for _, gap in entries):
@@ -167,6 +153,11 @@ def exact_expectation_f(
     kernel's own f stage. Equals ``exact_tv / pr_diff`` up to the float
     rounding inside ``f``.
     """
+    # imported here: the sampling kernel and numpy serve this function alone
+    import numpy as np
+
+    from .estimator import estimator_f
+
     support = [entry for entry in _disagreement_states(p, q, budget) if entry[1]]
     f = estimator_f(p, q, np.array([digits for digits, _ in support]) + 1)
     total = weighted = Fraction(0)

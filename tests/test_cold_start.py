@@ -3,9 +3,10 @@
 Each command is run in a new interpreter that imports the package under
 test, as a user's shell would start it. ``-X importtime`` lists every module
 the process loads, so the tests can require that a command loads only what
-it runs: ``info`` no generator, oracle or seed source. The package's oracle
-names resolve on first access, and in-process ``main`` must not touch the
-collector, which only the process entry ``cli.run`` freezes.
+it runs: ``info`` and ``exact`` no numpy and no sampling kernel, ``info``
+no oracle either. The package's kernel, estimator and oracle names resolve
+on first access, and in-process ``main`` must not touch the collector,
+which only the process entry ``cli.run`` freezes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ PACKAGE_ROOT = str(Path(tv.__file__).resolve().parents[1])
 
 #: Modules only some commands need.
 ON_DEMAND = ("numpy.random", "tvdist.oracle", "fractions", "decimal", "secrets")
+
+#: Modules only the commands that draw need.
+SAMPLING = ("numpy", "tvdist.coupling", "tvdist.estimator")
 
 
 def fresh_python(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
@@ -89,8 +93,16 @@ def test_fresh_process_flushes_a_validation_error(tmp_path):
 def test_info_imports_nothing_on_demand(bernoulli_file):
     proc, modules = fresh_cli(["info", bernoulli_file])
     assert proc.returncode == 0
-    assert "tvdist.coupling" in modules  # the parse sees the package's imports
+    assert "tvdist.distributions" in modules  # the parse sees the package's imports
     assert modules.isdisjoint(ON_DEMAND), sorted(modules.intersection(ON_DEMAND))
+
+
+@pytest.mark.parametrize("command", ["info", "exact"])
+def test_commands_that_draw_nothing_load_no_numpy(bernoulli_file, command):
+    proc, modules = fresh_cli([command, bernoulli_file])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "tvdist.distributions" in modules
+    assert modules.isdisjoint(SAMPLING), sorted(modules.intersection(SAMPLING))
 
 
 def test_seeded_estimate_imports_the_generator_not_the_oracle(bernoulli_file):
@@ -112,6 +124,7 @@ def test_exact_imports_the_oracle(bernoulli_file):
     proc, modules = fresh_cli(["exact", bernoulli_file])
     assert proc.returncode == 0
     assert {"tvdist.oracle", "fractions"} <= modules
+    assert "numpy" not in modules
 
 
 def test_in_process_main_freezes_nothing(capsys, bernoulli_file):
@@ -169,6 +182,23 @@ def test_oracle_loads_on_first_access():
     probe = (
         "import sys, tvdist; assert 'tvdist.oracle' not in sys.modules; "
         "tvdist.exact_tv; assert 'tvdist.oracle' in sys.modules"
+    )
+    proc, _ = fresh_python(["-c", probe])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_bare_import_loads_no_numpy():
+    proc, modules = fresh_python(["-c", "import tvdist"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert modules.isdisjoint(SAMPLING), sorted(modules.intersection(SAMPLING))
+
+
+def test_kernel_names_and_submodules_load_on_first_access():
+    probe = (
+        "import sys, tvdist; assert 'numpy' not in sys.modules; "
+        "sizes = tvdist.coupling.block_sizes(4097); assert sizes == [4096, 1], sizes; "
+        "assert tvdist.estimator.estimate_tv is tvdist.estimate_tv; "
+        "assert tvdist.sample_pi_batch is tvdist.coupling.sample_pi_batch"
     )
     proc, _ = fresh_python(["-c", probe])
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -96,7 +96,8 @@ def _kernel_weights(p, q, k, log_a):
     log_a = np.asarray(log_a, dtype=float)
     cum = np.empty((p.domain_sizes[k], log_a.size))
     scratch = np.empty((2, log_a.size))
-    _step_weights(_PairTables(p, q), k, log_a, stats.suffix_log[k + 1], cum, *scratch)
+    tables = _PairTables(p, q, list(range(p.n)))
+    _step_weights(tables, k, log_a, stats.suffix_log[k + 1], cum, *scratch)
     return np.diff(cum, axis=0, prepend=0.0), cum[-1]
 
 
@@ -122,13 +123,35 @@ def test_conditional_weights_zero_probability_category():
     assert weights[0, 0] == 0.0
 
 
+def test_tables_of_some_coordinates_are_the_full_tables_there():
+    """Tables over a subset of coordinates hold, bit for bit, what the
+    tables over every coordinate hold there, and nothing elsewhere."""
+    from tvdist.coupling import _PairTables
+
+    for p, q in random_instances(4040, 30, max_n=8, max_q=5):
+        full = _PairTables(p, q, list(range(p.n)))
+        assert full.bounds == p.offsets.tolist()
+        steps = [k for k, d in enumerate(tv.build_stats(p, q).d) if d != 0.0]
+        part = _PairTables(p, q, steps)
+        assert part.max_q == max((p.domain_sizes[k] for k in steps), default=0)
+        for k in range(p.n):
+            lo, hi = part.bounds[k], part.bounds[k + 1]
+            if k not in steps:
+                assert lo == hi
+                continue
+            span = slice(full.bounds[k], full.bounds[k + 1])
+            for name in ("p", "log_r", "log_qp"):
+                got, want = getattr(part, name)[lo:hi], getattr(full, name)[span]
+                assert got.tobytes() == want.tobytes(), (k, name)
+
+
 def test_step_normalizer_degenerate_on_identical():
     """The kernel rejects a step whose weights sum to 0."""
     from tvdist.coupling import _PairTables, _sample_panels
 
     p = tv.validate([[0.5, 0.5]])
     stats = tv.build_stats(p, p)
-    panels = _sample_panels(_PairTables(p, p), stats, [0], 7, 4, want_assignments=False)
+    panels = _sample_panels(_PairTables(p, p, [0]), stats, [0], 7, 4, want_assignments=False)
     with pytest.raises(DegenerateConditional):
         next(panels)
 
@@ -139,7 +162,7 @@ def _chain_probabilities(p, q, states):
     ratio gathered from the kernel's tables."""
     from tvdist.coupling import _PairTables
 
-    tables = _PairTables(p, q)
+    tables = _PairTables(p, q, list(range(p.n)))
     count = len(states)
     log_a = np.zeros(count)
     probability = np.ones(count)
@@ -520,8 +543,8 @@ def test_closing_kernel_early_stops_filling_thread():
 
     p = tv.validate([[0.5, 0.5]] * 100)
     q = tv.validate([[0.52, 0.48]] * 100)
-    tables, stats = _PairTables(p, q), tv.build_stats(p, q)
     steps = list(range(100))
+    tables, stats = _PairTables(p, q, steps), tv.build_stats(p, q)
     panels = _sample_panels(
         tables, stats, steps, 3, 9 * 4096, want_assignments=False, prefetch=True
     )

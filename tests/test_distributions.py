@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tvdist as tv
-from tvdist.distributions import check_assignment, coordinate_tvs
+from tvdist.distributions import coordinate_tvs
+from tvdist.estimator import check_assignment
 from tvdist.errors import (
     DomainMismatch,
     EmptyInput,
@@ -131,6 +132,8 @@ def test_validate_accepts_tolerance_slack():
 def test_product_distribution_stays_immutable():
     raw = [[0.25, 0.75], [0.1, 0.2, 0.7], [1.0]]
     p, again = tv.validate(raw), tv.validate(raw)
+    tv.build_stats(p, tv.validate([[0.5, 0.5], [0.1, 0.2, 0.7], [1.0]]))
+    assert not {"probs", "offsets"} & vars(p).keys()  # no arrays until first access
     assert p == again and hash(p) == hash(again) and len({p, again}) == 1
     assert p != tv.validate([[0.75, 0.25], [0.1, 0.2, 0.7], [1.0]])
     assert p != raw
@@ -149,7 +152,7 @@ def test_product_distribution_stays_immutable():
         p.probs = np.zeros(6)
     assert rows(p)[1] == (0.1, 0.2, 0.7)
     assert rows(p) == [tuple(r) for r in raw]
-    assert vars(p).keys() == {"probs", "offsets", "domain_sizes"}  # nothing per coordinate
+    assert p.probs is p.probs and p.offsets is p.offsets  # built once, then kept
 
 
 # --- assignment checks ------------------------------------------------------
