@@ -223,7 +223,8 @@ def naive_estimate_tv(
     samples = check_count("samples", samples)
     steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
     tables = _PairTables(p, q, steps)
-    cums = {k: np.cumsum(p.rows[k]) for k in steps}
+    bounds = list(zip(tables.bounds, tables.bounds[1:]))
+    cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
 
     def g_panels() -> Iterator[np.ndarray]:
         for rows, (log_a, log_qp, g), (flag, spare), (chosen,) in _draw_panels(
@@ -232,10 +233,10 @@ def naive_estimate_tv(
             log_a.fill(-np.inf)
             log_qp.fill(0.0)
             for k, uniform in zip(steps, rows):
-                lo, cum = tables.bounds[k], cums[k]
+                (lo, hi), cum = bounds[k], cums[k]
                 threshold = np.multiply(uniform, cum[-1], out=uniform)
                 _select(cum, threshold, cum[-1], chosen, flag)
-                log_qp += tables.log_qp[lo : lo + cum.size][chosen]
+                log_qp += tables.log_qp[lo:hi][chosen]
             yield _f_stage(log_a, log_qp, flag, spare, g)
 
     mean_g = _block_mean(g_panels(), samples)

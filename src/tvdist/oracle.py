@@ -153,13 +153,11 @@ def exact_expectation_f(
     kernel's own f stage. Equals ``exact_tv / pr_diff`` up to the float
     rounding inside ``f``.
     """
-    # imported here: the sampling kernel and numpy serve this function alone
-    import numpy as np
-
+    # imported here: the sampling kernel (and numpy) serves this function alone
     from .estimator import estimator_f
 
     support = [entry for entry in _disagreement_states(p, q, budget) if entry[1]]
-    f = estimator_f(p, q, np.array([digits for digits, _ in support]) + 1)
+    f = estimator_f(p, q, [[c + 1 for c in digits] for digits, _ in support])
     total = weighted = Fraction(0)
     for (_, gap), value in zip(support, f.tolist()):
         total += gap
