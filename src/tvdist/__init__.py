@@ -44,7 +44,7 @@ _ON_DEMAND = {
         "coupling": "coupling sample_pi_batch",
         "estimator": "estimator EstimateResult EstimatorConfig estimate_tv estimator_f "
         "naive_estimate_tv",
-        "oracle": "oracle EnumerationBudget exact_expectation_f exact_pi exact_tv",
+        "oracle": "EnumerationBudget exact_expectation_f exact_pi exact_tv",
     }.items()
     for name in names.split()
 }

@@ -10,9 +10,9 @@ exactly as given (no silent renormalization).
 
 This module owns every input check, of instances and of parameters alike
 (``check_seed``, ``check_count``, ``check_epsilon``, ``check_delta``): the
-estimator, sampler, oracle and CLI flags call these, and copy none. So is
-all the work before the first draw (:func:`build_stats`,
-:func:`sample_count`), in plain Python: this module imports no numpy.
+estimator, sampler, oracle and CLI flags call these, and copy none. The
+work before the first draw (:func:`build_stats`, :func:`sample_count`) is
+here too, in plain Python: this module imports no numpy.
 """
 
 from __future__ import annotations
