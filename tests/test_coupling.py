@@ -285,6 +285,19 @@ def test_samples_avoid_zero_probability_categories():
     assert not np.any(draws[:, 0] == 1)
 
 
+def test_subnormal_step_total_clamps_to_its_one_positive_weight():
+    """Coordinate 2's step total is the subnormal 1e-322, all of it on
+    category 2; about 2.5% of thresholds round up to it, and the clamp
+    must send those draws to category 2, not past it."""
+    p = tv.validate([[0.5, 0.5], [1.0, 1e-322, 0.0], [0.3, 0.7]])
+    q = tv.validate([[0.5, 0.5], [1.0, 0.0, 1e-322], [0.3, 0.7]])
+    stats = tv.build_stats(p, q)
+    draws = tv.sample_pi_batch(p, q, stats, 11, 20000, check_invariants=True)
+    assert np.all(draws[:, 1] == 2)
+    config = tv.EstimatorConfig(0.1, 0.1, seed=11, samples_override=5000)
+    assert tv.estimate_tv(p, q, config).estimate == tv.exact_tv(p, q) == 1e-322
+
+
 def test_unit_domain_coordinates():
     p = tv.validate([[1.0], [0.7, 0.3]])
     q = tv.validate([[1.0], [0.4, 0.6]])

@@ -1,4 +1,4 @@
-"""Recorded outcomes of ``build_stats`` and ``validate``, pinned bit for bit.
+"""Recorded outcomes of ``build_stats``, ``validate`` and the kernel, pinned bit for bit.
 
 ``parity_pins.json`` holds, for each instance below, the hex of every
 ``d_i``, of ``pr_diff`` and of every suffix log (a sha256 prefix of them
@@ -6,8 +6,13 @@ for the seeded batches, in full for the named pairs), or the class,
 coordinate and message of the error raised. For each ``validate`` input of
 ``test_validate_parity.py`` and of the seeded row generator here it holds
 the stored floats' digest or the error's class, coordinate, category and
-message. A change to either function that moves one bit or one word of a
-message fails here. After an intended change, rewrite the pins with
+message. For the first :data:`KERNEL_PER_BATCH` instances of each seeded
+batch (a sha256 prefix) and for the far-ratio pairs (in full) it holds a
+digest of the selections of :func:`~tvdist.sample_pi_batch` and the hex of
+``estimate_tv``'s ``estimate`` and ``mean_f`` and of ``naive_estimate_tv``'s
+estimate, at the draw counts of :data:`KERNEL_DRAWS`. A change to any of
+these functions that moves one bit or one word of a message fails here.
+After an intended change, rewrite the pins with
 ``PYTHONPATH=src python tests/test_stats_parity.py`` and say why.
 """
 
@@ -38,6 +43,14 @@ BATCHES = [
     (20260810, 100, 6, 4),
     (4404, 30, 60, 12),
 ]
+
+#: Draws of the kernel pins: for the sampler a panel of four full blocks and
+#: a short one; for the estimators panels of four and of one full block and
+#: a short one.
+KERNEL_DRAWS = (4 * 4096 + 7, 5 * 4096 + 1)
+
+#: Leading instances of each seeded batch whose kernel results are pinned.
+KERNEL_PER_BATCH = 50
 
 #: name -> (P rows, Q rows): pairs that differ by normalization slack.
 SLACK_PAIRS = {
@@ -128,17 +141,39 @@ def stats_hex(p_rows, q_rows) -> dict:
     }
 
 
+def kernel_hex(p, q, seed: int) -> dict:
+    """Selections digest and estimate hex of the kernel on ``(p, q)`` at ``seed``."""
+    sampled, estimated = KERNEL_DRAWS
+    selections = tv.sample_pi_batch(p, q, tv.build_stats(p, q), seed, sampled)
+    config = tv.EstimatorConfig(0.1, 0.1, seed, samples_override=estimated)
+    result = tv.estimate_tv(p, q, config)
+    return {
+        "selections": hashlib.sha256(selections.tobytes()).hexdigest()[:16],
+        "estimate": [result.estimate.hex(), result.mean_f.hex()],
+        "naive": tv.naive_estimate_tv(p, q, estimated, seed).estimate.hex(),
+    }
+
+
 def record() -> dict:
-    batches = {}
+    batches, kernels = {}, {}
     for seed, count, max_n, max_q in BATCHES:
         instances = random_instances(seed, count, max_n, max_q)
         digests = [_digest(stats_hex(rows(p), rows(q))) for p, q in instances]
         batches[f"{seed}x{count}/{max_n}/{max_q}"] = digests
+        pinned = enumerate(instances[:KERNEL_PER_BATCH])
+        kernels[f"{seed}x{count}/{max_n}/{max_q}"] = [
+            _digest(kernel_hex(p, q, k)) for k, (p, q) in pinned
+        ]
     pairs = {**FAR_RATIO_PAIRS, **SLACK_PAIRS}
     return {
         "stats_batches": batches,
         "stats_pairs": {name: stats_hex(*pair) for name, pair in sorted(pairs.items())},
         "validate": {name: validate_outcome(raw) for name, raw in validate_inputs().items()},
+        "kernel_batches": kernels,
+        "kernel_pairs": {
+            name: kernel_hex(tv.validate(p_rows), tv.validate(q_rows), 0)
+            for name, (p_rows, q_rows) in sorted(FAR_RATIO_PAIRS.items())
+        },
     }
 
 
@@ -159,6 +194,22 @@ def test_build_stats_bits_on_seeded_batches(pins, seed, count, max_n, max_q):
 def test_build_stats_bits_on_named_pairs(pins, name):
     pair = FAR_RATIO_PAIRS.get(name) or SLACK_PAIRS[name]
     assert stats_hex(*pair) == pins["stats_pairs"][name]
+
+
+@pytest.mark.parametrize("seed, count, max_n, max_q", BATCHES)
+def test_kernel_bits_on_seeded_batches(pins, seed, count, max_n, max_q):
+    expected = pins["kernel_batches"][f"{seed}x{count}/{max_n}/{max_q}"]
+    instances = random_instances(seed, count, max_n, max_q)[:KERNEL_PER_BATCH]
+    for k, (p, q) in enumerate(instances):
+        found = kernel_hex(p, q, k)
+        assert _digest(found) == expected[k], (k, found)
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RATIO_PAIRS))
+def test_kernel_bits_on_far_ratio_pairs(pins, name):
+    p_rows, q_rows = FAR_RATIO_PAIRS[name]
+    found = kernel_hex(tv.validate(p_rows), tv.validate(q_rows), 0)
+    assert found == pins["kernel_pairs"][name]
 
 
 def test_validate_outcomes(pins):
