@@ -8,19 +8,21 @@ that coupling the chance that the two joint samples agree factorizes, so
 is computable exactly (:func:`~tvdist.distributions.build_stats`). This
 module draws exact samples from the conditional law ``pi(omega) =
 Pr[X = omega | X != Y]`` one coordinate at a time: after fixing a prefix,
-the chance that the pair still agrees is the prefix's product of
-``min(P_i, Q_i)/P_i`` ratios times a suffix product of ``(1 - d_i)``
-factors, which gives closed-form conditional weights
+the chance that the pair still agrees is the prefix's product ``A_{k-1}``
+of ``min(P_i, Q_i)/P_i`` ratios times a suffix product ``B_k`` of
+``(1 - d_i)`` factors, which gives closed-form conditional weights
 
-    w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k),
+    w_k(c) = max(P_k - Q_k, 0)(c) + (1 - A_{k-1} * B_k) * min(P_k, Q_k)(c),
     sum_c w_k(c) = 1 - A_{k-1} * B_{k-1}.
 
-All products over coordinates are held as sums of logs, and ``1 - x``
-quantities go through ``log1p``/``expm1``, because the interesting regime
-is exponentially small per-coordinate distances where naive products lose
-everything to rounding. Every zero factor (``d_i = 1`` in a suffix
-product, a zero ``min(P_i, Q_i)/P_i`` or ``Q_i/P_i`` ratio) is a log of
-``-inf``, its zero flag.
+Both terms are non-negative, so nothing cancels, and a step takes one
+``expm1`` per draw. All products over coordinates are held as sums of
+logs, and ``1 - x`` quantities go through ``log1p``/``expm1``, because the
+interesting regime is exponentially small per-coordinate distances where
+naive products lose everything to rounding. One table holds the log
+``Q_i/P_i`` ratios; capped at 0 they are the log ``min(P_i, Q_i)/P_i``
+ones. Every zero factor (``d_i = 1`` in a suffix product, a zero
+``Q_i/P_i`` ratio) is a log of ``-inf``, its zero flag.
 
 Randomness: a run is identified by a 64-bit ``seed``; work unit ``b``
 (a block of up to :data:`SAMPLE_BLOCK` consecutive draws) uses the
@@ -273,10 +275,12 @@ class _PairTables:
     Categories of the ``steps`` coordinates lie back to back; coordinate ``k``
     (0-based) owns ``bounds[k]:bounds[k + 1]`` of each array (empty if not stepped):
       - ``p``: ``P_k(c)``,
-      - ``log_r``: log of the ``min(P, Q)/P`` ratio,
       - ``log_qp``: log of the ``Q/P`` ratio (0 where ``P = 0``: such a
-        category is never drawn).
-    Both ratios are built from ``log1p((Q - P)/P)`` so near-identical
+        category is never drawn); its minimum with 0 is the log of the
+        ``min(P, Q)/P`` ratio,
+      - ``gap`` and ``agree``: running sums over categories ``0..c``, in
+        category order, of ``max(P - Q, 0)`` and of ``min(P, Q)``.
+    The log ratio is built from ``log1p((Q - P)/P)`` so near-identical
     marginals keep full relative accuracy, except where ``(Q - P)/P``
     rounds to -1 or overflows (Q/P below about 2^-54, ``Q = 0``, or a
     subnormal P): there ``log Q - log P`` keeps the ratio. A zero ratio is
@@ -286,7 +290,7 @@ class _PairTables:
     gives.
     """
 
-    __slots__ = ("p", "log_r", "log_qp", "bounds", "max_q")
+    __slots__ = ("p", "log_qp", "gap", "agree", "bounds", "max_q")
 
     def __init__(self, p: ProductDistribution, q: ProductDistribution, steps: list[int]):
         stepped = set(steps)
@@ -302,7 +306,13 @@ class _PairTables:
         self.log_qp = np.log1p(np.where(pos & ~far, rel, 0.0))
         with np.errstate(divide="ignore"):
             self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
-        self.log_r = np.minimum(self.log_qp, 0.0)
+
+        def running_sums(term: Callable[[float, float], float]) -> np.ndarray:
+            sums = (itertools.accumulate(map(term, p.rows[k], q.rows[k])) for k in steps)
+            return np.fromiter(_entries(sums), np.float64)
+
+        self.gap = running_sums(lambda p_c, q_c: max(p_c - q_c, 0.0))
+        self.agree = running_sums(min)
 
 
 def _select(
@@ -334,10 +344,12 @@ def _select(
         np.add(out, flag, out=out)
     # Below the total the count stops at a positive weight. For a total
     # above the smallest normal double and u < 1, the rounded u * total is
-    # below the total, so only tiny totals can need the clamp. Their
-    # cumulative sums are multiples of the subnormal spacing and exact, so
-    # a row that grows marks a positive weight. Draws are indexed in the
-    # flattened order of ``threshold``.
+    # below the total, so only tiny totals can need the clamp. The kernel's
+    # rows are gap + y * agree (see _step_weights): when the total is
+    # subnormal every row is a subnormal and every add is exact, and a row
+    # grows only where max(P - Q, 0) > 0, or where min(P, Q) > 0 with
+    # y > 0, so a row that grows marks a positive weight. Draws are indexed
+    # in the flattened order of ``threshold``.
     if not total_low > _SMALLEST_NORMAL:
         over = np.flatnonzero(threshold >= np.broadcast_to(cum[-1], threshold.shape))
         if over.size:
@@ -352,39 +364,24 @@ def _step_weights(
     log_a: np.ndarray,
     log_b: float,
     cum: np.ndarray,
-    exponent: np.ndarray,
-    shared: np.ndarray,
+    y: np.ndarray,
 ) -> None:
     """Cumulative conditional weights of coordinate ``k`` (0-based), per draw.
 
-    Row ``c`` of ``cum`` receives ``w_k(0) + ... + w_k(c)``, with
-    ``w_k(c) = P_k(c) * (1 - A_{k-1} * r_k(c) * B_k)`` accumulated in
-    category order; ``log_a`` holds log A_{k-1} per draw (``-inf`` for a
-    zero prefix) and ``log_b`` is log B_k (``-inf`` for a zero suffix).
-    Categories with ``Q >= P`` (a ``min(P, Q)/P`` ratio of exactly 1) share
-    one disagreement row, computed once into ``shared``; ``exponent`` is
-    scratch space.
+    Row ``c`` of ``cum`` receives ``w_k(0) + ... + w_k(c)``, that is
+    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the tables' running
+    sums; ``log_a`` holds log A_{k-1} per draw (``-inf`` for a zero prefix)
+    and ``log_b`` is log B_k (``-inf`` for a zero suffix). ``y`` receives
+    ``expm1(log A_{k-1} + log B_k)``, the negated disagreement factor.
     """
     lo, hi = tables.bounds[k], tables.bounds[k + 1]
-    # expm1(x) * -P equals P * -expm1(x) bit for bit
-    have_shared = False
-    categories = zip(tables.p[lo:hi].tolist(), tables.log_r[lo:hi].tolist())
-    for c, (p_c, log_r) in enumerate(categories):
-        row = cum[c]
-        if log_r == 0.0:
-            if not have_shared:
-                np.add(log_a, log_b, out=shared)
-                np.expm1(shared, out=shared)
-                have_shared = True
-            em = shared
-        else:
-            np.add(log_a, log_r, out=exponent)
-            np.add(exponent, log_b, out=exponent)
-            np.expm1(exponent, out=exponent)
-            em = exponent
-        np.multiply(em, -p_c, out=row)
-        if c:
-            np.add(cum[c - 1], row, out=row)
+    np.add(log_a, log_b, out=y)
+    np.expm1(y, out=y)
+    # y * -agree equals (1 - A * B) * agree bit for bit
+    categories = zip(tables.gap[lo:hi].tolist(), tables.agree[lo:hi].tolist())
+    for row, (gap, agree) in zip(cum, categories):
+        np.multiply(y, -agree, out=row)
+        np.add(row, gap, out=row)
 
 
 def _f_stage(
@@ -441,11 +438,12 @@ def _sample_panels(
     overwrites. Every operation acts on each draw alone, so a draw's result
     does not depend on the panel it is stepped in. ``steps`` lists the
     0-based coordinates to step, ascending, each consuming one row of
-    uniforms, which the step overwrites. A step fills the cumulative weights
-    (:func:`_step_weights`), one row per category, and selects; a binary
-    coordinate costs two weight rows and one comparison. :func:`_f_stage`
-    turns the accumulated log ratios into ``f``. ``check_invariants`` is as
-    in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
+    uniforms, which the step overwrites. A step fills one disagreement row
+    and the cumulative weights (:func:`_step_weights`), one row per category,
+    selects, and gathers the chosen log ``Q/P`` ratios once for both log
+    sums; a binary coordinate costs three rows and one comparison.
+    :func:`_f_stage` turns the log sums into ``f``. ``check_invariants`` is
+    as in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
 
     Assignments and invariant checks need every coordinate stepped. When
     only ``f`` is requested, coordinates with ``d_k = 0`` may be left out:
@@ -459,20 +457,20 @@ def _sample_panels(
         count,
         steps,
         stats.n,
-        floats=5 + tables.max_q,
+        floats=4 + tables.max_q,
         flags=2,
         picks=stats.n if want_assignments else 1,
         prefetch=prefetch,
     ):
-        log_a, t_qp, exponent, shared, scratch = floats[:5]
-        cum = floats[5:]
+        log_a, t_qp, y, ratio = floats[:4]
+        cum = floats[4:]
         log_a.fill(0.0)
         if not want_assignments:
             t_qp.fill(0.0)
 
         for k, uniform in zip(steps, rows):
             lo, hi = tables.bounds[k], tables.bounds[k + 1]
-            _step_weights(tables, k, log_a, suffix_log[k + 1], cum, exponent, shared)
+            _step_weights(tables, k, log_a, suffix_log[k + 1], cum, y)
             q_k = hi - lo
             total = cum[q_k - 1]
             total_low = float(total.min())
@@ -482,22 +480,21 @@ def _sample_panels(
                 )
             if check_invariants:
                 normalizer = -np.expm1(log_a + suffix_log[k])
-                gap = float(np.abs(total - normalizer).max())
-                if gap > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
+                error = float(np.abs(total - normalizer).max())
+                if error > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
                     raise DegenerateConditional(
-                        f"step {k + 1}: weight sum deviates from its normalizer by {gap:g}"
+                        f"step {k + 1}: weight sum deviates from its normalizer by {error:g}"
                     )
 
             threshold = np.multiply(uniform, total, out=uniform)
             picked = picks[k] if want_assignments else picks[0]
             _select(cum[:q_k], threshold, total_low, picked, flag)
-            log_r_k = tables.log_r[lo:hi]
-            np.add(log_a, log_r_k.take(picked, out=scratch, mode="clip"), out=log_a)
+            tables.log_qp[lo:hi].take(picked, out=ratio, mode="clip")
             if not want_assignments:
-                log_qp_k = tables.log_qp[lo:hi]
-                np.add(t_qp, log_qp_k.take(picked, out=scratch, mode="clip"), out=t_qp)
+                np.add(t_qp, ratio, out=t_qp)
+            np.add(log_a, np.minimum(ratio, 0.0, out=ratio), out=log_a)
 
-        yield picks if want_assignments else _f_stage(log_a, t_qp, flag, spare, exponent)
+        yield picks if want_assignments else _f_stage(log_a, t_qp, flag, spare, y)
 
 
 def sample_pi_batch(

@@ -153,7 +153,7 @@ def estimator_f(
     m = len(values)
     log_a, t_qp = np.zeros(m), np.zeros(m)
     for row in picked:
-        np.add(log_a, tables.log_r[row], out=log_a)
+        np.add(log_a, np.minimum(tables.log_qp[row], 0.0), out=log_a)
         np.add(t_qp, tables.log_qp[row], out=t_qp)
     return _f_stage(log_a, t_qp, *np.empty((2, m), dtype=bool), np.empty(m))
 

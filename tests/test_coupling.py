@@ -95,9 +95,8 @@ def _kernel_weights(p, q, k, log_a):
     stats = tv.build_stats(p, q)
     log_a = np.asarray(log_a, dtype=float)
     cum = np.empty((p.domain_sizes[k], log_a.size))
-    scratch = np.empty((2, log_a.size))
     tables = _PairTables(p, q, list(range(p.n)))
-    _step_weights(tables, k, log_a, stats.suffix_log[k + 1], cum, *scratch)
+    _step_weights(tables, k, log_a, stats.suffix_log[k + 1], cum, np.empty(log_a.size))
     return np.diff(cum, axis=0, prepend=0.0), cum[-1]
 
 
@@ -140,7 +139,7 @@ def test_tables_of_some_coordinates_are_the_full_tables_there():
                 assert lo == hi
                 continue
             span = slice(full.bounds[k], full.bounds[k + 1])
-            for name in ("p", "log_r", "log_qp"):
+            for name in ("p", "log_qp", "gap", "agree"):
                 got, want = getattr(part, name)[lo:hi], getattr(full, name)[span]
                 assert got.tobytes() == want.tobytes(), (k, name)
 
@@ -171,7 +170,7 @@ def _chain_probabilities(p, q, states):
         chosen = weights[column, np.arange(count)]
         # a prefix with no conditional mass (total 0) is never reached
         probability *= np.divide(chosen, total, out=np.zeros(count), where=total > 0.0)
-        log_a = log_a + tables.log_r[tables.bounds[k] + column]
+        log_a = log_a + np.minimum(tables.log_qp[tables.bounds[k] + column], 0.0)
     return probability
 
 
