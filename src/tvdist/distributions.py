@@ -24,8 +24,6 @@ import numbers
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .errors import (
     DomainMismatch,
@@ -36,9 +34,6 @@ from .errors import (
     NegativeProbability,
     SlackOnlyDifference,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Absolute tolerance on |sum(probs) - 1| accepted by validation. Chosen to
 #: admit hand-written decimal inputs while rejecting malformed vectors.
@@ -51,29 +46,11 @@ _entries = itertools.chain.from_iterable
 class ProductDistribution:
     """An n-coordinate product distribution, built by :func:`validate`.
 
-    ``rows[k]`` is coordinate ``k``'s (0-based) vector of floats. The
-    read-only float64 array ``probs`` holds them in turn, coordinate ``k``
-    owning ``probs[offsets[k]:offsets[k + 1]]``; both are built on first use.
+    ``rows[k]`` is coordinate ``k``'s (0-based) vector of floats.
     """
 
     rows: tuple[tuple[float, ...], ...]
     domain_sizes: tuple[int, ...]
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        import numpy as np
-
-        offsets = np.cumsum((0, *self.domain_sizes), dtype=np.intp)
-        offsets.flags.writeable = False
-        return offsets
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        import numpy as np
-
-        probs = np.fromiter(_entries(self.rows), np.float64, int(self.offsets[-1]))
-        probs.flags.writeable = False
-        return probs
 
     @property
     def n(self) -> int:

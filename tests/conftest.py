@@ -73,9 +73,8 @@ def bernoulli_pair() -> tuple[tv.ProductDistribution, tv.ProductDistribution]:
 
 
 def rows(dist) -> list[tuple[float, ...]]:
-    """Each coordinate's stored probability vector, split from the flat array."""
-    values, ends = dist.probs.tolist(), dist.offsets.tolist()
-    return [tuple(values[a:b]) for a, b in zip(ends, ends[1:])]
+    """Each coordinate's stored probability vector."""
+    return list(dist.rows)
 
 
 def reference_coordinate_tv(p_row, q_row) -> float:

@@ -133,7 +133,7 @@ def test_product_distribution_stays_immutable():
     raw = [[0.25, 0.75], [0.1, 0.2, 0.7], [1.0]]
     p, again = tv.validate(raw), tv.validate(raw)
     tv.build_stats(p, tv.validate([[0.5, 0.5], [0.1, 0.2, 0.7], [1.0]]))
-    assert not {"probs", "offsets"} & vars(p).keys()  # no arrays until first access
+    assert vars(p).keys() == {"rows", "domain_sizes"}  # no state beyond the fields
     assert p == again and hash(p) == hash(again) and len({p, again}) == 1
     assert p != tv.validate([[0.75, 0.25], [0.1, 0.2, 0.7], [1.0]])
     assert p != raw
@@ -142,17 +142,10 @@ def test_product_distribution_stays_immutable():
     assert hash(signed) == hash(tv.validate([[0.0, 1.0]]))
     # the same flat vector split into other coordinates is another distribution
     assert tv.validate([[1.0, 0.0], [1.0]]) != tv.validate([[1.0], [0.0, 1.0]])
-    assert p.probs.dtype == np.float64 and p.probs.tolist() == [x for r in raw for x in r]
-    assert p.offsets.tolist() == [0, 2, 5, 6]
-    with pytest.raises(ValueError):
-        p.probs[0] = 0.5
-    with pytest.raises(ValueError):
-        p.offsets[1] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        p.probs = np.zeros(6)
+        p.rows = ()
     assert rows(p)[1] == (0.1, 0.2, 0.7)
     assert rows(p) == [tuple(r) for r in raw]
-    assert p.probs is p.probs and p.offsets is p.offsets  # built once, then kept
 
 
 # --- assignment checks ------------------------------------------------------
