@@ -307,12 +307,13 @@ class _PairTables:
         with np.errstate(divide="ignore"):
             self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
 
-        def running_sums(term: Callable[[float, float], float]) -> np.ndarray:
-            sums = (itertools.accumulate(map(term, p.rows[k], q.rows[k])) for k in steps)
-            return np.fromiter(_entries(sums), np.float64)
+        def running_sums(terms: np.ndarray) -> np.ndarray:
+            flat, bounds = terms.tolist(), self.bounds
+            sums = (itertools.accumulate(flat[bounds[k] : bounds[k + 1]]) for k in steps)
+            return np.fromiter(_entries(sums), np.float64, len(flat))
 
-        self.gap = running_sums(lambda p_c, q_c: max(p_c - q_c, 0.0))
-        self.agree = running_sums(min)
+        self.gap = running_sums(np.maximum(pv - qv, 0.0))
+        self.agree = running_sums(np.minimum(pv, qv))
 
 
 def _select(
