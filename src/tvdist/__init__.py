@@ -41,9 +41,8 @@ __version__ = "0.1.0"
 _ON_DEMAND = {
     name: module
     for module, names in {
-        "coupling": "coupling sample_pi_batch",
-        "estimator": "estimator EstimateResult EstimatorConfig estimate_tv estimator_f "
-        "naive_estimate_tv",
+        "coupling": "coupling sample_pi_batch EstimateResult EstimatorConfig estimate_tv "
+        "estimator_f naive_estimate_tv",
         "oracle": "EnumerationBudget exact_expectation_f exact_pi exact_tv",
     }.items()
     for name in names.split()

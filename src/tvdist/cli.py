@@ -162,7 +162,7 @@ def _report(
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
-    from .estimator import EstimatorConfig, estimate_tv
+    from .coupling import EstimatorConfig, estimate_tv
 
     p, q, digest = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
@@ -200,7 +200,7 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
 
 
 def _cmd_naive(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
-    from .estimator import naive_estimate_tv
+    from .coupling import naive_estimate_tv
 
     p, q, digest = load_instance(args.instance)
     seed = _resolve_seed(args.seed)

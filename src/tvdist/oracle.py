@@ -149,12 +149,12 @@ def exact_expectation_f(
 
     Sums ``pi(omega) * f(omega)`` over the exact support in rational
     arithmetic, with every ``f(omega)`` from one
-    :func:`~tvdist.estimator.estimator_f` call, which runs the sampling
+    :func:`~tvdist.coupling.estimator_f` call, which runs the sampling
     kernel's own f stage. Equals ``exact_tv / pr_diff`` up to the float
     rounding inside ``f``.
     """
     # imported here: the sampling kernel (and numpy) serves this function alone
-    from .estimator import estimator_f
+    from .coupling import estimator_f
 
     support = [entry for entry in _disagreement_states(p, q, budget) if entry[1]]
     f = estimator_f(p, q, [[c + 1 for c in digits] for digits, _ in support])

@@ -221,7 +221,7 @@ def test_internal_invariant_maps_to_exit_5(capsys, bernoulli_file, monkeypatch):
     def boom(*args, **kwargs):
         raise DegenerateConditional("forced for the exit-code contract")
 
-    monkeypatch.setattr(tv.estimator, "estimate_tv", boom)
+    monkeypatch.setattr(tv.coupling, "estimate_tv", boom)
     code, report, _ = run_cli(capsys, ["estimate", bernoulli_file, "--seed", "1"])
     assert code == 5
     assert report["error"]["type"] == "DegenerateConditional"

@@ -4,13 +4,15 @@ Each command is run in a new interpreter that imports the package under
 test, as a user's shell would start it. ``-X importtime`` lists every module
 the process loads, so the tests can require that a command loads only what
 it runs: ``info`` and ``exact`` no numpy and no sampling kernel, ``info``
-no oracle either. The package's kernel, estimator and oracle names resolve
-on first access, and in-process ``main`` must not touch the collector,
-which only the process entry ``cli.run`` freezes.
+no oracle either. The package's sampling and estimation names (all in
+``tvdist.coupling``) and oracle names resolve on first access, and
+in-process ``main`` must not touch the collector, which only the process
+entry ``cli.run`` freezes.
 """
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import os
@@ -33,7 +35,7 @@ PACKAGE_ROOT = str(Path(tv.__file__).resolve().parents[1])
 ON_DEMAND = ("numpy.random", "tvdist.oracle", "fractions", "decimal", "secrets")
 
 #: Modules only the commands that draw need.
-SAMPLING = ("numpy", "tvdist.coupling", "tvdist.estimator")
+SAMPLING = ("numpy", "tvdist.coupling")
 
 
 def fresh_python(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
@@ -187,6 +189,21 @@ def test_oracle_loads_on_first_access():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_modules_import_no_private_names_from_each_other():
+    """A module's underscore names are its own: no package module imports
+    one from another (tests are exempt)."""
+    crossings = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(Path(tv.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tvdist")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossings == []
+
+
 def test_bare_import_loads_no_numpy():
     proc, modules = fresh_python(["-c", "import tvdist"])
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -197,7 +214,7 @@ def test_kernel_names_and_submodules_load_on_first_access():
     probe = (
         "import sys, tvdist; assert 'numpy' not in sys.modules; "
         "sizes = tvdist.coupling.block_sizes(4097); assert sizes == [4096, 1], sizes; "
-        "assert tvdist.estimator.estimate_tv is tvdist.estimate_tv; "
+        "assert tvdist.coupling.estimate_tv is tvdist.estimate_tv; "
         "assert tvdist.sample_pi_batch is tvdist.coupling.sample_pi_batch"
     )
     proc, _ = fresh_python(["-c", probe])

@@ -362,12 +362,20 @@ def _random_plan(rng: np.random.Generator) -> list[bool]:
     return needed
 
 
-def test_uniform_chunks_match_plain_generator():
+def test_uniform_chunks_match_plain_generator(monkeypatch):
     """Rows of the needed coordinates equal plain ``Generator.random`` rows
     in every block of a panel, and each stream ends where drawing every row
     would have left it, for skipped stretches of any length and alignment."""
-    from tvdist.coupling import _stream_runs, _uniform_chunks, block_rng
+    from tvdist import coupling
 
+    block_rng = coupling.block_rng
+    streams: list[np.random.Generator] = []
+
+    def recorded_block_rng(seed, block):
+        streams.append(block_rng(seed, block))
+        return streams[-1]
+
+    monkeypatch.setattr(coupling, "block_rng", recorded_block_rng)
     rng = np.random.default_rng(77)
     unaligned = 0
     for trial in range(200):
@@ -379,13 +387,15 @@ def test_uniform_chunks_match_plain_generator():
         expected = [r.random((n, size))[needed] for r in references]
         after = [r.random(9) for r in references]
         steps = [k for k, need in enumerate(needed) if need]
-        flat = np.empty(blocks * size * int(rng.integers(1, 5)))
-        streams = [block_rng(trial, b) for b in range(blocks)]
-        got = [
-            row.copy()
-            for rows in _uniform_chunks(streams, size, _stream_runs(steps, n), lambda: flat)
-            for row in rows
-        ]
+        # one panel of `blocks` blocks of `size` draws, read 1-4 rows a chunk
+        monkeypatch.setattr(coupling, "SAMPLE_BLOCK", size)
+        monkeypatch.setattr(coupling, "UNIFORM_CHUNK", blocks * size * int(rng.integers(1, 5)))
+        streams.clear()
+        plan = coupling._draw_panels(trial, blocks * size, steps, n, floats=1, flags=1, picks=1)
+        with closing(plan):
+            rows, *_ = next(plan)
+            got = [row.copy() for row in rows]
+        assert len(streams) == blocks, trial
         assert all(row.shape == (blocks, size) for row in got), trial
         for b in range(blocks):
             block_rows = np.reshape([row[b] for row in got], (-1, size))
@@ -400,8 +410,8 @@ def test_uniform_chunks_match_plain_generator():
 
 @pytest.mark.parametrize("prefetch", [False, True])
 def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
-    """The panel reader gives every block's needed rows, panel after panel,
-    with and without prefetching, also when its chunk buffers must be
+    """The run plan's reader gives every block's needed rows, panel after
+    panel, with and without prefetching, also when its chunk buffers must be
     reused many times and hold a single panel row."""
     from tvdist import coupling
 
@@ -410,32 +420,30 @@ def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
     needed = [True, False, False, True, True, True, False, True, True, False]
     steps = [k for k, need in enumerate(needed) if need]
     # a full panel of 4 beside one of 1, then a short block, as 40 draws are
-    # planned; and, built by hand, a short block in the middle
-    planned = list(coupling._panels(40))
-    assert planned == [(0, 4, 7), (4, 1, 7), (5, 1, 5)]
-    for sizes, panels in (
-        ([7] * 5 + [5], planned),
-        ([7, 7, 5, 7], [(0, 2, 7), (2, 1, 5), (3, 1, 7)]),
-    ):
-        grouping = [list(range(first, first + blocks)) for first, blocks, _ in panels]
-        width = max(blocks * size for _, blocks, size in panels)
-        block_rows = [
-            coupling.block_rng(5, block).random((len(needed), size))[needed]
-            for block, size in enumerate(sizes)
-        ]
-        runs = coupling._stream_runs(steps, len(needed))
-        rows = coupling._panel_rows(5, panels, width, runs, prefetch=prefetch)
-        got = {block: [] for block in range(len(sizes))}
-        for group in grouping:
+    # planned; the chunks hold one row of the full panel
+    panels = list(coupling._panels(40))
+    assert panels == [(0, 4, 7), (4, 1, 7), (5, 1, 5)]
+    sizes = [7] * 5 + [5]
+    block_rows = [
+        coupling.block_rng(5, block).random((len(needed), size))[needed]
+        for block, size in enumerate(sizes)
+    ]
+    got = {block: [] for block in range(len(sizes))}
+    plan = coupling._draw_panels(
+        5, 40, steps, len(needed), floats=1, flags=1, picks=1, prefetch=prefetch
+    )
+    with closing(plan):
+        for first, blocks, size in panels:
+            rows, *_ = next(plan)
             for _ in steps:
                 row = next(rows)
-                assert row.shape == (len(group), sizes[group[0]])
-                for block, block_row in zip(group, row, strict=True):
+                assert row.shape == (blocks, size)
+                for block, block_row in zip(range(first, first + blocks), row, strict=True):
                     got[block].append(block_row.copy())
         assert next(rows, None) is None
-        rows.close()
-        for block, expected in enumerate(block_rows):
-            assert np.array_equal(np.reshape(got[block], expected.shape), expected), block
+        assert next(plan, None) is None
+    for block, expected in enumerate(block_rows):
+        assert np.array_equal(np.reshape(got[block], expected.shape), expected), block
 
 
 def _grouped_block_sizes(sizes: list[int]) -> list[tuple[int, int, int]]:
@@ -457,13 +465,15 @@ def test_panels_group_the_blocks_of_a_count(count):
 
     panels = list(coupling._panels(count))
     assert panels == _grouped_block_sizes(coupling.block_sizes(count))
-    # the run plan's buffers hold the widest panel exactly
+    # the run plan's buffers hold the widest panel exactly; the float rows
+    # share their allocation with one uniform chunk
     width = max(blocks * size for _, blocks, size in panels)
     plan = coupling._draw_panels(1, count, [], 1, floats=1, flags=1, picks=1)
     with closing(plan):
         for (_, blocks, size), (_, floats, flags, picks) in zip(panels, plan, strict=True):
             assert floats.shape == flags.shape == picks.shape == (1, blocks, size)
-            assert floats.base.shape == (1, width)
+            assert flags.base.shape == picks.base.shape == (1, width)
+            assert floats.base.shape == (width + max(coupling.UNIFORM_CHUNK, width),)
 
 
 def test_draw_plan_of_a_count_past_memory_starts_drawing():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import tvdist as tv
 from tvdist.distributions import coordinate_tvs
-from tvdist.estimator import check_assignment
+from tvdist.coupling import check_assignment
 from tvdist.errors import (
     DomainMismatch,
     EmptyInput,
