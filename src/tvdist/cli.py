@@ -280,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """Process entry of ``python -m tvdist.cli`` and the ``tvdist`` script."""
+    gc.disable()  # a run makes no cycles to collect; passes would walk its input
     code = main()
     gc.freeze()  # exit collections skip what is alive now; the OS frees it
     return code

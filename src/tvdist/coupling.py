@@ -69,9 +69,9 @@ import time
 from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .distributions import (
     GreedyCouplingStats,
@@ -95,9 +95,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-if TYPE_CHECKING:
-    from numpy.random import Generator, Philox
-
 #: Draws per RNG work unit; fixed so that results are worker-count invariant.
 SAMPLE_BLOCK = 4096
 
@@ -120,8 +117,6 @@ _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 def block_rng(seed: int, block: int) -> Generator:
     """Counter-based generator for work unit ``block`` of a run seeded ``seed``."""
-    from numpy.random import Generator, Philox, SeedSequence
-
     return Generator(Philox(SeedSequence([check_seed(seed), int(block)])))
 
 
@@ -169,18 +164,17 @@ def _draw_panels(
     n: int,
     *,
     floats: int,
-    flags: int,
     picks: int,
     prefetch: bool = False,
-) -> Iterator[tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[Iterator[np.ndarray], np.ndarray, np.ndarray]]:
     """The run plan of ``count`` draws over ``n`` coordinates, panel by panel.
 
-    Yields ``(rows, floats, flags, picks)`` per panel (see :func:`_panels`).
+    Yields ``(rows, floats, picks)`` per panel (see :func:`_panels`).
     ``rows``, one reader for the whole run, yields a ``(blocks, size)`` row
     of uniforms for each coordinate in ``steps``, panel after panel: that
     coordinate's row of every block in the panel. The others are
     ``(rows, blocks, size)`` views of buffers with that many rows of
-    doubles, bools and indices. The buffers are allocated once per run, so
+    doubles and of indices. The buffers are allocated once per run, so
     a run touches fresh pages once, not once per panel.
 
     The reader fills a chunk at a time: the rows of as many consecutive
@@ -205,9 +199,7 @@ def _draw_panels(
     # max_q = 2 faulted in about 290 fresh pages.
     doubles = np.empty(floats * width + (1 + prefetch) * capacity)
     flats = itertools.cycle(np.split(doubles[floats * width :], 1 + prefetch))
-    kinds = ((flags, bool), (picks, np.intp))
-    buffers = [doubles[: floats * width].reshape(floats, width)]
-    buffers += [np.empty((height, width), dtype) for height, dtype in kinds]
+    buffers = doubles[: floats * width].reshape(floats, width), np.empty((picks, width), np.intp)
     # consecutive coordinates that all need uniforms, or all are passed over
     needed = set(steps).__contains__
     runs = [(need, list(run)) for need, run in itertools.groupby(range(n), needed)]
@@ -297,47 +289,32 @@ class _PairTables:
         self.agree = running_sums(np.minimum(pv, qv))
 
 
-def _select(
-    cum: np.ndarray,
-    threshold: np.ndarray,
-    total_low: float,
-    out: np.ndarray,
-    flag: np.ndarray,
-) -> None:
+def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.ndarray) -> None:
     """Inverse-CDF selection, scanning categories in ascending order.
 
     ``cum`` holds cumulative weights with one row per category, each row
     either shaped like ``threshold`` (one value per draw) or one value
-    shared by all draws; ``threshold`` is ``u * cum[-1]`` per draw with
-    ``u`` in [0, 1), and ``total_low`` the smallest ``cum[-1]``. ``out``
-    receives ``#(cum <= threshold)``, clamped to the last category of
-    positive weight, which absorbs residual rounding mass; ``flag`` is
-    scratch space.
+    shared by all draws, and non-decreasing from row to row; ``threshold``
+    is ``u * cum[-1]`` per draw with ``u`` in [0, 1), and ``total_low`` the
+    smallest ``cum[-1]``. ``out`` receives ``#(cum <= threshold)``, clamped
+    to the last category of positive weight, which absorbs residual
+    rounding mass. ``threshold`` is not written.
     """
-    q = len(cum)
-    if q == 1:
-        out.fill(0)
-        return
-    # The last row is left out of the count: it is counted only where
-    # threshold >= total, and those draws are set by the clamp below.
-    np.less_equal(cum[0], threshold, out=out)
-    for c in range(1, q - 1):
-        np.less_equal(cum[c], threshold, out=flag)
-        np.add(out, flag, out=out)
-    # Below the total the count stops at a positive weight. For a total
+    # The rows do not decrease in floating point: the kernel's
+    # gap[c] + y * -agree[c] (y <= 0, see _step_weights) and the naive
+    # baseline's cumsum add non-negative terms, and rounding is monotone.
+    # Every row past the last positive weight equals the total. For a total
     # above the smallest normal double and u < 1, the rounded u * total is
-    # below the total, so only tiny totals can need the clamp. The kernel's
-    # rows are gap + y * agree (see _step_weights): when the total is
-    # subnormal every row is a subnormal and every add is exact, and a row
-    # grows only where max(P - Q, 0) > 0, or where min(P, Q) > 0 with
-    # y > 0, so a row that grows marks a positive weight. Draws are indexed
-    # in the flattened order of ``threshold``.
+    # below the total, so only a tiny total can be reached; there the
+    # threshold is lowered to just below the total, and the count stops at
+    # the first row that reaches it, the last category of positive weight.
     if not total_low > _SMALLEST_NORMAL:
-        over = np.flatnonzero(threshold >= np.broadcast_to(cum[-1], threshold.shape))
-        if over.size:
-            rows = np.broadcast_to(np.reshape(cum, (q, -1)), (q, threshold.size))
-            grew = np.diff(rows[:, over], axis=0, prepend=0.0) > 0.0
-            np.put(out, over, q - 1 - np.argmax(grew[::-1], axis=0))
+        threshold = np.minimum(threshold, np.nextafter(cum[-1], 0.0))
+    # Every threshold is now below the total, so the last row, which would
+    # add 0, is left out of the count (a lone row is counted, for 0).
+    np.less_equal(cum[0], threshold, out=out)
+    for row in cum[1:-1]:
+        np.add(out, np.less_equal(row, threshold), out=out)
 
 
 def _step_weights(
@@ -366,22 +343,16 @@ def _step_weights(
         np.add(row, gap, out=row)
 
 
-def _f_stage(
-    log_a: np.ndarray,
-    t_qp: np.ndarray,
-    flag: np.ndarray,
-    scratch: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
+def _f_stage(log_a: np.ndarray, t_qp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-draw estimate ``f`` from the log products of each draw's ratios.
 
     ``log_a`` holds log prod min(P, Q)/P and ``t_qp`` log prod Q/P, each
     ``-inf`` where a factor is 0. ``f = (1 - prod Q/P) / (1 - prod min(P, Q)/P)``
     where the numerator is positive, else 0, is written to ``out`` and
-    returned; ``log_a``, ``t_qp``, ``flag`` and ``scratch`` (bools) are
-    overwritten. Raises :class:`ZeroDenominator` for an outcome with a
-    positive numerator and no disagreement mass (one that is never drawn),
-    and :class:`EstimatorOutOfRange` for a value above 1 by more than
+    returned; ``log_a`` and ``t_qp`` are overwritten. Raises
+    :class:`ZeroDenominator` for an outcome with a positive numerator and no
+    disagreement mass (one that is never drawn), and
+    :class:`EstimatorOutOfRange` for a value above 1 by more than
     :data:`F_RANGE_TOL`; smaller excursions are clamped.
     """
     # in place: numer = 1 - prod Q/P, which is -inf (so f = 0) where the Q/P
@@ -389,8 +360,8 @@ def _f_stage(
     with np.errstate(over="ignore"):
         numer = np.negative(np.expm1(t_qp, out=t_qp), out=t_qp)
     denom = np.negative(np.expm1(log_a, out=log_a), out=log_a)
-    live = np.greater(numer, 0.0, out=flag)
-    if not np.all(np.greater(denom, 0.0, out=scratch), where=live):
+    live = numer > 0.0
+    if not np.all(denom > 0.0, where=live):
         raise ZeroDenominator("an outcome's disagreement mass is zero")
     out.fill(0.0)
     np.divide(numer, denom, out=out, where=live)
@@ -413,17 +384,18 @@ def _sample_panels(
 ) -> Iterator[np.ndarray]:
     """Draw ``count`` outcomes from the conditional disagreement law.
 
-    Runs the plan of :func:`_draw_panels` and yields, for each panel of
-    ``(blocks, size)`` draws, either its 0-based ``(n, blocks, size)``
-    selections (one row per coordinate) when ``want_assignments`` is set, or
-    its per-sample estimate values ``f``; both are views the next panel
-    overwrites. Every operation acts on each draw alone, so a draw's result
-    does not depend on the panel it is stepped in. ``steps`` lists the
-    0-based coordinates to step, ascending, each consuming one row of
-    uniforms, which the step overwrites. A step fills one disagreement row
-    and the cumulative weights (:func:`_step_weights`), one row per category,
-    selects, and gathers the chosen log ``Q/P`` ratios once for both log
-    sums; a binary coordinate costs three rows and one comparison.
+    Runs the plan of :func:`_draw_panels` (float and pick rows) and yields,
+    for each panel of ``(blocks, size)`` draws, either its 0-based
+    ``(n, blocks, size)`` selections (one row per coordinate) when
+    ``want_assignments`` is set, or its per-sample estimate values ``f``;
+    both are views the next panel overwrites. Every operation acts on each
+    draw alone, so a draw's result does not depend on the panel it is
+    stepped in. ``steps`` lists the 0-based coordinates to step, ascending,
+    each consuming one row of uniforms, which the step overwrites. A step
+    fills one disagreement row and the cumulative weights
+    (:func:`_step_weights`), one row per category, selects, and gathers the
+    chosen log ``Q/P`` ratios once for both log sums; a binary coordinate
+    costs three rows and one comparison.
     :func:`_f_stage` turns the log sums into ``f``. ``check_invariants`` is
     as in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
 
@@ -436,13 +408,12 @@ def _sample_panels(
     suffix_log = stats.suffix_log
     # float rows: log A, y, on the f path the log Q/P sum, then the weights
     heads = 2 if want_assignments else 3
-    for rows, floats, (flag, spare), picks in _draw_panels(
+    for rows, floats, picks in _draw_panels(
         seed,
         count,
         steps,
         stats.n,
         floats=heads + tables.max_q,
-        flags=2,
         picks=stats.n if want_assignments else 1,
         prefetch=prefetch,
     ):
@@ -473,14 +444,14 @@ def _sample_panels(
 
             threshold = np.multiply(uniform, total, out=uniform)
             picked = picks[k] if want_assignments else picks[0]
-            _select(cum[:q_k], threshold, total_low, picked, flag)
+            _select(cum[:q_k], threshold, total_low, picked)
             # y is spent once the weights are filled: it takes the chosen ratios
             tables.log_qp[lo:hi].take(picked, out=y, mode="clip")
             if not want_assignments:
                 np.add(t_qp, y, out=t_qp)
             np.add(log_a, np.minimum(y, 0.0, out=y), out=log_a)
 
-        yield picks if want_assignments else _f_stage(log_a, t_qp, flag, spare, y)
+        yield picks if want_assignments else _f_stage(log_a, t_qp, y)
 
 
 def sample_pi_batch(
@@ -641,7 +612,7 @@ def estimator_f(
     for row in picked:
         np.add(log_a, np.minimum(tables.log_qp[row], 0.0), out=log_a)
         np.add(t_qp, tables.log_qp[row], out=t_qp)
-    return _f_stage(log_a, t_qp, *np.empty((2, m), dtype=bool), np.empty(m))
+    return _f_stage(log_a, t_qp, np.empty(m))
 
 
 def estimate_tv(
@@ -713,17 +684,17 @@ def naive_estimate_tv(
     cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
 
     def g_panels() -> Iterator[np.ndarray]:
-        for rows, (log_a, log_qp, g), (flag, spare), (chosen,) in _draw_panels(
-            seed, samples, steps, p.n, floats=3, flags=2, picks=1
+        for rows, (log_a, log_qp, g), (chosen,) in _draw_panels(
+            seed, samples, steps, p.n, floats=3, picks=1
         ):
             log_a.fill(-np.inf)
             log_qp.fill(0.0)
             for k, uniform in zip(steps, rows):
                 (lo, hi), cum = bounds[k], cums[k]
                 threshold = np.multiply(uniform, cum[-1], out=uniform)
-                _select(cum, threshold, cum[-1], chosen, flag)
+                _select(cum, threshold, cum[-1], chosen)
                 log_qp += tables.log_qp[lo:hi][chosen]
-            yield _f_stage(log_a, log_qp, flag, spare, g)
+            yield _f_stage(log_a, log_qp, g)
 
     mean_g = _block_mean(g_panels(), samples)
     return EstimateResult(

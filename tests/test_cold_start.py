@@ -7,7 +7,7 @@ it runs: ``info`` and ``exact`` no numpy and no sampling kernel, ``info``
 no oracle either. The package's sampling and estimation names (all in
 ``tvdist.coupling``) and oracle names resolve on first access, and
 in-process ``main`` must not touch the collector, which only the process
-entry ``cli.run`` freezes.
+entry ``cli.run`` turns off and freezes.
 """
 
 from __future__ import annotations
@@ -130,10 +130,23 @@ def test_exact_imports_the_oracle(bernoulli_file):
 
 
 def test_in_process_main_freezes_nothing(capsys, bernoulli_file):
-    before = gc.get_freeze_count()
+    before, enabled = gc.get_freeze_count(), gc.isenabled()
     for argv in (["info", bernoulli_file], ["estimate", bernoulli_file, "--seed", "3"]):
         assert run_cli(capsys, argv)[0] == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled() == enabled
+
+
+def test_process_entry_runs_main_with_the_collector_off(bernoulli_file):
+    probe = (
+        "import gc, sys; from tvdist import cli; main = cli.main; states = []\n"
+        "def recorded(argv=None):\n"
+        "    states.append(gc.isenabled()); return main(argv)\n"
+        "cli.main = recorded; sys.argv[1:] = ['info', sys.argv[1]]\n"
+        "assert gc.isenabled() and cli.run() == 0 and states == [False], states"
+    )
+    proc, _ = fresh_python(["-c", probe, bernoulli_file])
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # --- the package's lazily resolved names ---------------------------------------

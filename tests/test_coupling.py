@@ -338,7 +338,7 @@ def test_select_matches_reference_selection():
             u[: m // 4] = top
             expected, cum, threshold = _reference_selection(weights, u)
             out = np.empty(m, dtype=np.intp)
-            _select(cum, threshold, float(cum[-1].min()), out, np.empty(m, dtype=bool))
+            _select(cum, threshold, float(cum[-1].min()), out)
             assert np.array_equal(out, expected), (q, unit)
             clamped += int(np.sum((threshold >= cum[-1]) & (weights[-1] == 0.0)))
     assert clamped > 0  # the clamp was exercised
@@ -347,8 +347,48 @@ def test_select_matches_reference_selection():
     weights[0] = 2.0**-1022
     expected, cum, threshold = _reference_selection(weights, np.full(4, top))
     out = np.empty(4, dtype=np.intp)
-    _select(cum, threshold, float(cum[-1].min()), out, np.empty(4, dtype=bool))
+    _select(cum, threshold, float(cum[-1].min()), out)
     assert np.array_equal(out, expected) and not out.any()
+
+
+def test_select_matches_reference_on_kernel_rows():
+    """Selection over rows in the kernel's form ``gap[c] + y * -agree[c]``
+    (running sums shared by all draws, one y in [-1, 0] per draw) equals the
+    count of rows <= u * total clamped to the last row that grew, down to
+    subnormal totals where the products round; the caller's threshold is
+    left as it was."""
+    from tvdist.coupling import _select
+
+    rng = np.random.default_rng(2025)
+    top = 1.0 - 2.0**-53  # the largest uniform the generator returns
+    m = 512
+    clamped = 0
+    for q in (1, 2, 3, 5, 16):
+        for unit in (0.1, 1e-300, 2.0**-1022 / 4, 5e-324):
+            for scale in (0.25, 1.0):
+                gap_w = np.floor(rng.random(q) * 4) * unit
+                gap_w[0] += unit  # every draw has a positive total
+                agree_w = np.floor(rng.random(q) * 4) * scale
+                if q > 1 and rng.random() < 0.5:
+                    gap_w[-1] = agree_w[-1] = 0.0  # last category empty
+                # tiny 1 - A * B as well as ordinary ones
+                y = -rng.random(m) * np.where(rng.random(m) < 0.5, unit, 1.0)
+                cum = np.empty((q, m))
+                for row, gap, agree in zip(cum, np.cumsum(gap_w), np.cumsum(agree_w)):
+                    np.add(np.multiply(y, -agree), gap, out=row)
+                u = rng.random(m)
+                u[: m // 4] = top
+                threshold = u * cum[-1]
+                grew = np.diff(cum, axis=0, prepend=0.0) > 0.0
+                last_grew = q - 1 - np.argmax(grew[::-1], axis=0)
+                expected = np.minimum((cum <= threshold).sum(axis=0), last_grew)
+                given = threshold.copy()
+                out = np.empty(m, dtype=np.intp)
+                _select(cum, threshold, float(cum[-1].min()), out)
+                assert np.array_equal(out, expected), (q, unit, scale)
+                assert np.array_equal(threshold, given), (q, unit, scale)
+                clamped += int(np.sum((threshold >= cum[-1]) & ~grew[-1]))
+    assert clamped > 0  # draws past the total whose last row did not grow
 
 
 # --- uniform stream ---------------------------------------------------------
@@ -391,7 +431,7 @@ def test_uniform_chunks_match_plain_generator(monkeypatch):
         monkeypatch.setattr(coupling, "SAMPLE_BLOCK", size)
         monkeypatch.setattr(coupling, "UNIFORM_CHUNK", blocks * size * int(rng.integers(1, 5)))
         streams.clear()
-        plan = coupling._draw_panels(trial, blocks * size, steps, n, floats=1, flags=1, picks=1)
+        plan = coupling._draw_panels(trial, blocks * size, steps, n, floats=1, picks=1)
         with closing(plan):
             rows, *_ = next(plan)
             got = [row.copy() for row in rows]
@@ -430,7 +470,7 @@ def test_stream_rows_match_plain_generator_across_blocks(monkeypatch, prefetch):
     ]
     got = {block: [] for block in range(len(sizes))}
     plan = coupling._draw_panels(
-        5, 40, steps, len(needed), floats=1, flags=1, picks=1, prefetch=prefetch
+        5, 40, steps, len(needed), floats=1, picks=1, prefetch=prefetch
     )
     with closing(plan):
         for first, blocks, size in panels:
@@ -468,20 +508,20 @@ def test_panels_group_the_blocks_of_a_count(count):
     # the run plan's buffers hold the widest panel exactly; the float rows
     # share their allocation with one uniform chunk
     width = max(blocks * size for _, blocks, size in panels)
-    plan = coupling._draw_panels(1, count, [], 1, floats=1, flags=1, picks=1)
+    plan = coupling._draw_panels(1, count, [], 1, floats=1, picks=1)
     with closing(plan):
-        for (_, blocks, size), (_, floats, flags, picks) in zip(panels, plan, strict=True):
-            assert floats.shape == flags.shape == picks.shape == (1, blocks, size)
-            assert flags.base.shape == picks.base.shape == (1, width)
+        for (_, blocks, size), (_, floats, picks) in zip(panels, plan, strict=True):
+            assert floats.shape == picks.shape == (1, blocks, size)
+            assert picks.base.shape == (1, width)
             assert floats.base.shape == (width + max(coupling.UNIFORM_CHUNK, width),)
 
 
 def test_draw_plan_of_a_count_past_memory_starts_drawing():
     from tvdist import coupling
 
-    plan = coupling._draw_panels(3, 10**20, [0], 1, floats=1, flags=1, picks=1)
-    rows, floats, flags, picks = next(plan)
-    assert floats.shape == flags.shape == picks.shape == (1, 4, 4096)
+    plan = coupling._draw_panels(3, 10**20, [0], 1, floats=1, picks=1)
+    rows, floats, picks = next(plan)
+    assert floats.shape == picks.shape == (1, 4, 4096)
     row = next(rows)
     assert row.shape == (4, 4096)
     assert np.array_equal(row[1], coupling.block_rng(3, 1).random(4096))
