@@ -43,7 +43,7 @@ _ON_DEMAND = {
     for module, names in {
         "coupling": "coupling sample_pi_batch EstimateResult EstimatorConfig estimate_tv "
         "estimator_f naive_estimate_tv",
-        "oracle": "EnumerationBudget exact_expectation_f exact_pi exact_tv",
+        "oracle": "exact_expectation_f exact_pi exact_tv",
     }.items()
     for name in names.split()
 }
@@ -61,7 +61,6 @@ __all__ = [
     "DegenerateConditional",
     "DomainMismatch",
     "EmptyInput",
-    "EnumerationBudget",
     "EstimateResult",
     "EstimatorConfig",
     "EstimatorOutOfRange",

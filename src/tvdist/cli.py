@@ -2,9 +2,9 @@
 
 Instances are JSON documents with two arrays-of-arrays under keys "p" and
 "q" (decimal or scientific-notation probabilities). Machine-readable run
-reports go to stdout as a single JSON object; human-readable summaries go
-to stderr. Reports follow ``schemas/run-report.schema.json`` shipped with
-the package.
+reports go to stdout as one JSON object on one line; human-readable
+summaries go to stderr. Reports follow ``schemas/run-report.schema.json``
+shipped with the package.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 enumeration
 budget exceeded, 5 internal invariant violation.
@@ -19,7 +19,6 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .distributions import (
@@ -144,14 +143,9 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _report(
-    args: argparse.Namespace, digest: str, config: dict[str, Any], result: Any
+    args: argparse.Namespace, digest: str, config: dict[str, Any], result: dict[str, Any]
 ) -> dict[str, Any]:
-    """The report of ``args.command`` on the instance file that hashes to ``digest``.
-
-    ``result`` is a dict, or a dataclass reported field by field.
-    """
-    if is_dataclass(result):
-        result = {field.name: getattr(result, field.name) for field in fields(result)}
+    """The report of ``args.command`` on the instance file that hashes to ``digest``."""
     return {
         "command": args.command,
         "instance": {"path": args.instance, "sha256": digest},
@@ -180,7 +174,7 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
             "seed": seed,
             "workers": args.workers,
         },
-        result,
+        vars(result),
     )
     summary = (
         f"estimate: d_hat={result.estimate:.6g} "
@@ -190,12 +184,12 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
 
 
 def _cmd_exact(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
-    from .oracle import DEFAULT_MAX_STATES, EnumerationBudget, exact_tv
+    from .oracle import DEFAULT_MAX_STATES, exact_tv
 
     p, q, digest = load_instance(args.instance)
-    budget = EnumerationBudget(args.max_states or DEFAULT_MAX_STATES)
-    result = {"tv": exact_tv(p, q, budget), "states": p.state_count()}
-    report = _report(args, digest, {"max_states": budget.max_states}, result)
+    max_states = args.max_states or DEFAULT_MAX_STATES
+    result = {"tv": exact_tv(p, q, max_states), "states": p.state_count()}
+    report = _report(args, digest, {"max_states": max_states}, result)
     return report, f"exact: tv={result['tv']:.12g} over {result['states']} states"
 
 
@@ -205,7 +199,7 @@ def _cmd_naive(args: argparse.Namespace) -> tuple[dict[str, Any], str]:
     p, q, digest = load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     result = naive_estimate_tv(p, q, args.samples, seed)
-    report = _report(args, digest, {"samples": args.samples, "seed": seed}, result)
+    report = _report(args, digest, {"samples": args.samples, "seed": seed}, vars(result))
     summary = f"naive: estimate={result.estimate:.6g} (m={args.samples}, seed={seed})"
     return report, summary
 
@@ -248,8 +242,7 @@ def _emit_error(exc: Exception) -> None:
     coordinate = getattr(exc, "coordinate", None)
     if coordinate is not None:
         payload["error"]["coordinate"] = coordinate
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
     print(f"error: {exc}", file=sys.stderr)
 
 
@@ -272,8 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(exc)
         return EXIT_IO
     report["timing"]["seconds"] = time.perf_counter() - started
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report) + "\n")  # no indent: json's C encoder runs
     print(summary, file=sys.stderr)
     return EXIT_OK
 

@@ -472,7 +472,9 @@ def sample_pi_batch(
     verifies that its weights sum to the analytic normalizer within
     :data:`WEIGHT_SUM_TOL`.
     """
-    if stats != build_stats(p, q):  # raises DomainMismatch first if shapes differ
+    # build_stats raises DomainMismatch first if shapes differ; a plain tuple
+    # of the same fields compares equal but is not the record
+    if stats != build_stats(p, q) or not isinstance(stats, GreedyCouplingStats):
         raise InvalidParameter("stats must be build_stats(p, q) of the pair sampled")
     check_seed(seed)
     count = check_count("count", count)

@@ -23,7 +23,7 @@ import math
 import numbers
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainMismatch,
@@ -42,8 +42,7 @@ NORMALIZATION_TOL = 1e-9
 _entries = itertools.chain.from_iterable
 
 
-@dataclass(frozen=True)
-class ProductDistribution:
+class ProductDistribution(NamedTuple):
     """An n-coordinate product distribution, built by :func:`validate`.
 
     ``rows[k]`` is coordinate ``k``'s (0-based) vector of floats.
@@ -90,14 +89,17 @@ def validate(p_raw: Sequence[Sequence[float]]) -> ProductDistribution:
 
     Raises:
         InstanceFormatError: ``p_raw`` is not a sequence of rows (a number,
-            ``None``, a string or a mapping), a row is not a sequence, or an
-            entry is a bool, a string or anything else ``float`` rejects.
+            ``None``, a string, a mapping or a built record), a row is not a
+            sequence, or an entry is a bool, a string or anything else
+            ``float`` rejects.
         EmptyInput: no coordinates, or a coordinate with no categories.
         NegativeProbability: an entry is below zero.
         MarginalNotNormalized: a vector's sum is off by more than the
             tolerance or is not finite (``inf`` if finite entries overflow).
     """
-    if isinstance(p_raw, (str, bytes, Mapping)) or not isinstance(p_raw, Iterable):
+    # a built record iterates as its fields, which are not rows
+    not_rows = (str, bytes, Mapping, ProductDistribution, GreedyCouplingStats)
+    if isinstance(p_raw, not_rows) or not isinstance(p_raw, Iterable):
         kind = type(p_raw).__name__
         raise InstanceFormatError(f"a distribution must be a list of rows, got {kind}")
     raws, rows = list(p_raw), []
@@ -167,8 +169,7 @@ def are_identical(p: ProductDistribution, q: ProductDistribution) -> bool:
     return p.rows == q.rows
 
 
-@dataclass(frozen=True)
-class GreedyCouplingStats:
+class GreedyCouplingStats(NamedTuple):
     """Aggregate quantities of the greedy coupling for one (P, Q) pair.
 
     ``suffix_log[k]`` is the log of ``B_k = prod_{i>k} (1 - d_i)`` for

@@ -1,44 +1,33 @@
 """Brute-force ground truth on small instances.
 
-Everything here enumerates the full state space, so calls are gated by an
-:class:`EnumerationBudget`. Enumeration runs in exact rational arithmetic
-(every stored probability is a binary float, hence an exact rational), so
-oracle values carry no rounding of their own and stay meaningful even for
-near-identical inputs; they are converted to float only on return. This
-keeps the oracle fully independent of the log-space paths it is used to
-check. Expect rational arithmetic to slow down near the default budget.
+Everything here enumerates the full state space, so each call takes a
+``max_states`` cap, :data:`DEFAULT_MAX_STATES` unless given. Enumeration
+runs in exact rational arithmetic (every stored probability is a binary
+float, hence an exact rational), so oracle values carry no rounding of
+their own and stay meaningful even for near-identical inputs; they are
+converted to float only on return. This keeps the oracle fully independent
+of the log-space paths it is used to check. Expect rational arithmetic to
+slow down near the default cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .distributions import ProductDistribution, check_count, require_same_shape
 from .errors import BudgetExceeded, IdenticalDistributions
 
+#: States an oracle call may enumerate unless its ``max_states`` says otherwise.
 DEFAULT_MAX_STATES = 1 << 20
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on the number of states an oracle call may enumerate."""
-
-    max_states: int = DEFAULT_MAX_STATES
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_states", check_count("max_states", self.max_states))
-
-
 def _checked_columns(
-    p: ProductDistribution,
-    q: ProductDistribution,
-    budget: EnumerationBudget | None,
+    p: ProductDistribution, q: ProductDistribution, max_states: int
 ) -> list[list[list[Fraction]]]:
-    """Both inputs' columns as exact rationals, once their shapes and size pass."""
+    """Both inputs' columns as exact rationals, once the cap, shapes and size pass."""
+    limit = check_count("max_states", max_states)
     require_same_shape(p, q)
-    limit = (budget if budget is not None else EnumerationBudget()).max_states
     states = p.state_count()
     if states > limit:
         raise BudgetExceeded(states, limit)
@@ -80,19 +69,17 @@ def _iter_states(
 def exact_tv(
     p: ProductDistribution,
     q: ProductDistribution,
-    budget: EnumerationBudget | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> float:
     """Total variation distance, exactly: half the L1 distance over all states."""
     total = Fraction(0)
-    for _, (mass_p, mass_q) in _iter_states(_checked_columns(p, q, budget)):
+    for _, (mass_p, mass_q) in _iter_states(_checked_columns(p, q, max_states)):
         total += abs(mass_p - mass_q)
     return float(total / 2)
 
 
 def _disagreement_states(
-    p: ProductDistribution,
-    q: ProductDistribution,
-    budget: EnumerationBudget | None,
+    p: ProductDistribution, q: ProductDistribution, max_states: int
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Per-state disagreement mass ``P(omega) - prod_i min(P_i, Q_i)(w_i)``.
 
@@ -102,7 +89,7 @@ def _disagreement_states(
     :class:`IdenticalDistributions` if the inputs are equal, or if every
     state's mass is zero.
     """
-    p_cols, q_cols = _checked_columns(p, q, budget)
+    p_cols, q_cols = _checked_columns(p, q, max_states)
     if p_cols == q_cols:
         raise IdenticalDistributions(
             "the distributions are identical; the conditional law is undefined"
@@ -124,7 +111,7 @@ def _disagreement_states(
 def exact_pi(
     p: ProductDistribution,
     q: ProductDistribution,
-    budget: EnumerationBudget | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> dict[tuple[int, ...], float]:
     """The conditional disagreement law as an explicit table over all states.
 
@@ -135,7 +122,7 @@ def exact_pi(
     sum to exactly 1 the total equals ``1 - prod_i (1 - d_i)``.) Requires
     P != Q.
     """
-    entries = _disagreement_states(p, q, budget)
+    entries = _disagreement_states(p, q, max_states)
     total = sum((gap for _, gap in entries), Fraction(0))
     return {tuple(c + 1 for c in digits): float(gap / total) for digits, gap in entries}
 
@@ -143,7 +130,7 @@ def exact_pi(
 def exact_expectation_f(
     p: ProductDistribution,
     q: ProductDistribution,
-    budget: EnumerationBudget | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> float:
     """Mean of the per-sample estimate under the exact conditional law.
 
@@ -156,7 +143,7 @@ def exact_expectation_f(
     # imported here: the sampling kernel (and numpy) serves this function alone
     from .coupling import estimator_f
 
-    support = [entry for entry in _disagreement_states(p, q, budget) if entry[1]]
+    support = [entry for entry in _disagreement_states(p, q, max_states) if entry[1]]
     f = estimator_f(p, q, [[c + 1 for c in digits] for digits, _ in support])
     total = weighted = Fraction(0)
     for (_, gap), value in zip(support, f.tolist()):

@@ -3,11 +3,11 @@
 Each command is run in a new interpreter that imports the package under
 test, as a user's shell would start it. ``-X importtime`` lists every module
 the process loads, so the tests can require that a command loads only what
-it runs: ``info`` and ``exact`` no numpy and no sampling kernel, ``info``
-no oracle either. The package's sampling and estimation names (all in
-``tvdist.coupling``) and oracle names resolve on first access, and
-in-process ``main`` must not touch the collector, which only the process
-entry ``cli.run`` turns off and freezes.
+it runs: ``info`` and ``exact`` no numpy, no sampling kernel and no
+``dataclasses``, ``info`` no oracle either. The package's sampling and
+estimation names (all in ``tvdist.coupling``) and oracle names resolve on
+first access, and in-process ``main`` must not touch the collector, which
+only the process entry ``cli.run`` turns off and freezes.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ ON_DEMAND = ("numpy.random", "tvdist.oracle", "fractions", "decimal", "secrets")
 #: Modules only the commands that draw need.
 SAMPLING = ("numpy", "tvdist.coupling")
 
+#: What ``dataclasses`` loads; nothing before the first draw needs it.
+RECORD_MACHINERY = ("dataclasses", "inspect")
+
 
 def fresh_python(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
     """Run a new interpreter on ``args``; returns it and the modules it imported."""
@@ -59,6 +62,15 @@ def fresh_python(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]
 
 def fresh_cli(argv: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
     return fresh_python(["-m", "tvdist.cli", *argv])
+
+
+@pytest.fixture(scope="module")
+def pre_sampling_forbidden() -> set[str]:
+    """Modules a process that draws nothing must not load: the sampling ones,
+    and the record machinery unless a bare interpreter's site loads it too."""
+    proc, bare = fresh_python(["-c", "pass"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(SAMPLING) | (set(RECORD_MACHINERY) - bare)
 
 
 def without_timing(report: dict) -> dict:
@@ -100,11 +112,15 @@ def test_info_imports_nothing_on_demand(bernoulli_file):
 
 
 @pytest.mark.parametrize("command", ["info", "exact"])
-def test_commands_that_draw_nothing_load_no_numpy(bernoulli_file, command):
+def test_commands_that_draw_nothing_load_no_numpy(
+    bernoulli_file, pre_sampling_forbidden, command
+):
     proc, modules = fresh_cli([command, bernoulli_file])
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "tvdist.distributions" in modules
-    assert modules.isdisjoint(SAMPLING), sorted(modules.intersection(SAMPLING))
+    assert modules.isdisjoint(pre_sampling_forbidden), sorted(
+        modules.intersection(pre_sampling_forbidden)
+    )
 
 
 def test_seeded_estimate_imports_the_generator_not_the_oracle(bernoulli_file):
@@ -158,7 +174,6 @@ def test_every_public_name_resolves():
     from tvdist import oracle
 
     assert tv.exact_tv is oracle.exact_tv
-    assert tv.EnumerationBudget is oracle.EnumerationBudget
 
 
 def test_every_error_class_is_public():
@@ -217,10 +232,12 @@ def test_modules_import_no_private_names_from_each_other():
     assert crossings == []
 
 
-def test_bare_import_loads_no_numpy():
+def test_bare_import_loads_no_numpy(pre_sampling_forbidden):
     proc, modules = fresh_python(["-c", "import tvdist"])
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert modules.isdisjoint(SAMPLING), sorted(modules.intersection(SAMPLING))
+    assert modules.isdisjoint(pre_sampling_forbidden), sorted(
+        modules.intersection(pre_sampling_forbidden)
+    )
 
 
 def test_kernel_names_and_submodules_load_on_first_access():

@@ -205,12 +205,14 @@ def test_sample_pi_batch_rejects_stats_of_another_pair(bernoulli_pair):
     p = tv.validate([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8]])
     q = tv.validate([[0.4, 0.6], [0.3, 0.7], [0.1, 0.9]])
     other = tv.validate([[0.4, 0.6], [0.2, 0.8], [0.1, 0.9]])
-    # a 2-coordinate pair's stats (an IndexError once), then another
-    # 3-coordinate pair's (once drawn from silently)
-    for stats in (tv.build_stats(*bernoulli_pair), tv.build_stats(p, other)):
+    # a 2-coordinate pair's stats (an IndexError once), another 3-coordinate
+    # pair's (once drawn from silently), then a plain tuple of the right fields
+    own = tv.build_stats(p, q)
+    foreign = (own.d, own.pr_diff, own.suffix_log)
+    for stats in (tv.build_stats(*bernoulli_pair), tv.build_stats(p, other), foreign):
         with pytest.raises(InvalidParameter, match="stats must be build_stats"):
             tv.sample_pi_batch(p, q, stats, 1, 10)
-    assert tv.sample_pi_batch(p, q, tv.build_stats(p, q), 1, 10).shape == (10, 3)
+    assert tv.sample_pi_batch(p, q, own, 1, 10).shape == (10, 3)
 
 
 def test_sample_pi_deterministic_point():

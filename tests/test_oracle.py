@@ -44,19 +44,25 @@ def test_exact_tv_budget():
     small_p = tv.validate([[0.5, 0.5]] * 3)
     small_q = tv.validate([[0.4, 0.6]] * 3)
     with pytest.raises(BudgetExceeded):
-        tv.exact_tv(small_p, small_q, tv.EnumerationBudget(max_states=4))
-    assert tv.exact_tv(small_p, small_q, tv.EnumerationBudget(max_states=8)) > 0.0
+        tv.exact_tv(small_p, small_q, max_states=4)
+    assert tv.exact_tv(small_p, small_q, max_states=8) > 0.0
 
 
 @pytest.mark.parametrize("cap", ["x", None, 2.5, True, 0, -5], ids=repr)
 def test_budget_rejects_a_cap_that_is_not_a_positive_integer(cap):
-    with pytest.raises(InvalidParameter, match="max_states must be"):
-        tv.EnumerationBudget(max_states=cap)
+    # the cap is checked before the shapes, which differ here
+    p, q = tv.validate([[0.5, 0.5]]), tv.validate([[0.5, 0.5]] * 2)
+    for oracle in (tv.exact_tv, tv.exact_pi, tv.exact_expectation_f):
+        with pytest.raises(InvalidParameter, match="max_states must be"):
+            oracle(p, q, max_states=cap)
 
 
 def test_budget_takes_a_numpy_integer_cap():
-    budget = tv.EnumerationBudget(max_states=np.int64(8))
-    assert type(budget.max_states) is int and budget.max_states == 8
+    p, q = tv.validate([[0.5, 0.5]] * 3), tv.validate([[0.4, 0.6]] * 3)
+    assert tv.exact_tv(p, q, max_states=np.int64(8)) == tv.exact_tv(p, q)
+    with pytest.raises(BudgetExceeded) as info:
+        tv.exact_tv(p, q, max_states=np.int64(4))
+    assert type(info.value.max_states) is int and info.value.max_states == 4
 
 
 def test_brute_positive_part(bernoulli_pair):
