@@ -246,12 +246,10 @@ class _PairTables:
 
     Categories of the ``steps`` coordinates lie back to back; coordinate ``k``
     (0-based) owns ``bounds[k]:bounds[k + 1]`` of each array (empty if not stepped):
-      - ``p``: ``P_k(c)``,
+      - ``p`` and ``q``: ``P_k(c)`` and ``Q_k(c)``,
       - ``log_qp``: log of the ``Q/P`` ratio (0 where ``P = 0``: such a
         category is never drawn); its minimum with 0 is the log of the
-        ``min(P, Q)/P`` ratio,
-      - ``gap`` and ``agree``: running sums over categories ``0..c``, in
-        category order, of ``max(P - Q, 0)`` and of ``min(P, Q)``.
+        ``min(P, Q)/P`` ratio.
     The log ratio is built from ``log1p((Q - P)/P)`` so near-identical
     marginals keep full relative accuracy, except where ``(Q - P)/P``
     rounds to -1 or overflows (Q/P below about 2^-54, ``Q = 0``, or a
@@ -262,7 +260,7 @@ class _PairTables:
     gives.
     """
 
-    __slots__ = ("p", "log_qp", "gap", "agree", "bounds", "max_q")
+    __slots__ = ("p", "q", "log_qp", "bounds", "max_q")
 
     def __init__(self, p: ProductDistribution, q: ProductDistribution, steps: list[int]):
         stepped = set(steps)
@@ -271,7 +269,7 @@ class _PairTables:
         self.max_q = max(widths)
         entries = itertools.chain.from_iterable
         self.p = pv = np.fromiter(entries(p.rows[k] for k in steps), np.float64)
-        qv = np.fromiter(entries(q.rows[k] for k in steps), np.float64)
+        self.q = qv = np.fromiter(entries(q.rows[k] for k in steps), np.float64)
         pos = pv > 0.0
         with np.errstate(over="ignore"):
             rel = (qv - pv) / np.where(pos, pv, 1.0)
@@ -280,13 +278,20 @@ class _PairTables:
         with np.errstate(divide="ignore"):
             self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
 
-        def running_sums(terms: np.ndarray) -> np.ndarray:
-            flat, bounds = terms.tolist(), self.bounds
-            sums = (itertools.accumulate(flat[bounds[k] : bounds[k + 1]]) for k in steps)
-            return np.fromiter(entries(sums), np.float64, len(flat))
 
-        self.gap = running_sums(np.maximum(pv - qv, 0.0))
-        self.agree = running_sums(np.minimum(pv, qv))
+def _step_records(
+    tables: _PairTables, stats: GreedyCouplingStats, steps: list[int]
+) -> Iterator[tuple[int, int, float, np.ndarray, list[tuple[float, float]]]]:
+    """``(k, categories, log B_k, log Q/P row, sums)`` per ``k`` in ``steps``.
+    ``sums[c]`` is the ``(gap, agree)`` pair :func:`_step_weights` multiplies
+    by: the running sums over ``0..c`` of ``max(P - Q, 0)`` and ``min(P, Q)``.
+    """
+    gap = np.maximum(tables.p - tables.q, 0.0).tolist()
+    agree = np.minimum(tables.p, tables.q).tolist()
+    for k in steps:
+        lo, hi = tables.bounds[k], tables.bounds[k + 1]
+        sums = zip(itertools.accumulate(gap[lo:hi]), itertools.accumulate(agree[lo:hi]))
+        yield k, hi - lo, stats.suffix_log[k + 1], tables.log_qp[lo:hi], list(sums)
 
 
 def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.ndarray) -> None:
@@ -318,27 +323,20 @@ def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.nd
 
 
 def _step_weights(
-    tables: _PairTables,
-    k: int,
-    log_a: np.ndarray,
-    log_b: float,
-    cum: np.ndarray,
-    y: np.ndarray,
+    sums: list[tuple], log_a: np.ndarray, log_b: float, cum: np.ndarray, y: np.ndarray
 ) -> None:
-    """Cumulative conditional weights of coordinate ``k`` (0-based), per draw.
+    """Cumulative conditional weights of coordinate ``k``, per draw.
 
     Row ``c`` of ``cum`` receives ``w_k(0) + ... + w_k(c)``, that is
-    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the tables' running
-    sums; ``log_a`` holds log A_{k-1} per draw (``-inf`` for a zero prefix)
-    and ``log_b`` is log B_k (``-inf`` for a zero suffix). ``y`` receives
+    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the step's ``sums``;
+    ``log_a`` holds log A_{k-1} per draw (``-inf`` for a zero prefix) and
+    ``log_b`` is log B_k (``-inf`` for a zero suffix). ``y`` receives
     ``expm1(log A_{k-1} + log B_k)``, the negated disagreement factor.
     """
-    lo, hi = tables.bounds[k], tables.bounds[k + 1]
     np.add(log_a, log_b, out=y)
     np.expm1(y, out=y)
     # y * -agree equals (1 - A * B) * agree bit for bit
-    categories = zip(tables.gap[lo:hi].tolist(), tables.agree[lo:hi].tolist())
-    for row, (gap, agree) in zip(cum, categories):
+    for row, (gap, agree) in zip(cum, sums):
         np.multiply(y, -agree, out=row)
         np.add(row, gap, out=row)
 
@@ -392,10 +390,10 @@ def _sample_panels(
     draw alone, so a draw's result does not depend on the panel it is
     stepped in. ``steps`` lists the 0-based coordinates to step, ascending,
     each consuming one row of uniforms, which the step overwrites. A step
-    fills one disagreement row and the cumulative weights
-    (:func:`_step_weights`), one row per category, selects, and gathers the
-    chosen log ``Q/P`` ratios once for both log sums; a binary coordinate
-    costs three rows and one comparison.
+    fills one disagreement row and the cumulative weights from its record
+    (:func:`_step_records`, :func:`_step_weights`), one row per category,
+    selects, and gathers the chosen log ``Q/P`` ratios once for both log
+    sums; a binary coordinate costs three rows and one comparison.
     :func:`_f_stage` turns the log sums into ``f``. ``check_invariants`` is
     as in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
 
@@ -405,7 +403,7 @@ def _sample_panels(
     later weight can change, and the step's total equals the disagreement
     factor the previous step chose, which is positive.
     """
-    suffix_log = stats.suffix_log
+    records = list(_step_records(tables, stats, steps))
     # float rows: log A, y, on the f path the log Q/P sum, then the weights
     heads = 2 if want_assignments else 3
     for rows, floats, picks in _draw_panels(
@@ -424,10 +422,8 @@ def _sample_panels(
             t_qp = floats[2]
             t_qp.fill(0.0)
 
-        for k, uniform in zip(steps, rows):
-            lo, hi = tables.bounds[k], tables.bounds[k + 1]
-            _step_weights(tables, k, log_a, suffix_log[k + 1], cum, y)
-            q_k = hi - lo
+        for (k, q_k, log_b, log_qp, sums), uniform in zip(records, rows):
+            _step_weights(sums, log_a, log_b, cum, y)
             total = cum[q_k - 1]
             total_low = float(total.min())
             if not total_low > 0.0:
@@ -435,7 +431,7 @@ def _sample_panels(
                     f"step {k + 1}: conditional weights sum to a non-positive value"
                 )
             if check_invariants:
-                normalizer = -np.expm1(log_a + suffix_log[k])
+                normalizer = -np.expm1(log_a + stats.suffix_log[k])
                 error = float(np.abs(total - normalizer).max())
                 if error > WEIGHT_SUM_TOL or not np.all(normalizer > 0.0):
                     raise DegenerateConditional(
@@ -446,7 +442,7 @@ def _sample_panels(
             picked = picks[k] if want_assignments else picks[0]
             _select(cum[:q_k], threshold, total_low, picked)
             # y is spent once the weights are filled: it takes the chosen ratios
-            tables.log_qp[lo:hi].take(picked, out=y, mode="clip")
+            log_qp.take(picked, out=y, mode="clip")
             if not want_assignments:
                 np.add(t_qp, y, out=t_qp)
             np.add(log_a, np.minimum(y, 0.0, out=y), out=log_a)
@@ -673,8 +669,9 @@ def naive_estimate_tv(
     distance is tiny and carried by rare outcomes, typical runs return 0.
     Each value is the f stage's with a zero ``min(P, Q)/P`` product, whose
     denominator is exactly 1. Uses the block/stream layout and the steps
-    (``d_i != 0``) of :func:`estimate_tv`, and reports the mean with a
-    scale factor of 1 (``pr_diff`` field set to 1.0).
+    (``d_i != 0``) of :func:`estimate_tv`, with each step's cumulative P
+    row built once per run, and reports the mean with a scale factor of 1
+    (``pr_diff`` field set to 1.0).
     """
     start = time.perf_counter()
     d = coordinate_tvs(p, q)
@@ -682,8 +679,8 @@ def naive_estimate_tv(
     samples = check_count("samples", samples)
     steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
     tables = _PairTables(p, q, steps)
-    bounds = list(zip(tables.bounds, tables.bounds[1:]))
-    cums = {k: np.cumsum(tables.p[slice(*bounds[k])]) for k in steps}
+    spans = [slice(tables.bounds[k], tables.bounds[k + 1]) for k in steps]
+    records = [(tables.log_qp[span], np.cumsum(tables.p[span])) for span in spans]
 
     def g_panels() -> Iterator[np.ndarray]:
         for rows, (log_a, log_qp, g), (chosen,) in _draw_panels(
@@ -691,11 +688,10 @@ def naive_estimate_tv(
         ):
             log_a.fill(-np.inf)
             log_qp.fill(0.0)
-            for k, uniform in zip(steps, rows):
-                (lo, hi), cum = bounds[k], cums[k]
+            for (ratios, cum), uniform in zip(records, rows):
                 threshold = np.multiply(uniform, cum[-1], out=uniform)
                 _select(cum, threshold, cum[-1], chosen)
-                log_qp += tables.log_qp[lo:hi][chosen]
+                log_qp += ratios[chosen]
             yield _f_stage(log_a, log_qp, g)
 
     mean_g = _block_mean(g_panels(), samples)

@@ -16,6 +16,7 @@ from tvdist.errors import (
 )
 
 from conftest import all_states, random_instance_pair, random_instances, rows
+from test_stats_parity import BATCHES
 
 
 # --- stats ------------------------------------------------------------------
@@ -89,15 +90,16 @@ def test_pr_diff_accurate_for_tiny_distances():
 
 def _kernel_weights(p, q, k, log_a):
     """Conditional weights of coordinate ``k`` (0-based) from the kernel's
-    weight fill, one column per prefix log ratio in ``log_a``, and their
-    totals."""
-    from tvdist.coupling import _PairTables, _step_weights
+    weight fill on its step record, one column per prefix log ratio in
+    ``log_a``, and their totals."""
+    from tvdist.coupling import _PairTables, _step_records, _step_weights
 
-    stats = tv.build_stats(p, q)
+    steps = list(range(p.n))
+    records = _step_records(_PairTables(p, q, steps), tv.build_stats(p, q), steps)
+    _, size, log_b, _, sums = list(records)[k]
     log_a = np.asarray(log_a, dtype=float)
-    cum = np.empty((p.domain_sizes[k], log_a.size))
-    tables = _PairTables(p, q, list(range(p.n)))
-    _step_weights(tables, k, log_a, stats.suffix_log[k + 1], cum, np.empty(log_a.size))
+    cum = np.empty((size, log_a.size))
+    _step_weights(sums, log_a, log_b, cum, np.empty(log_a.size))
     return np.diff(cum, axis=0, prepend=0.0), cum[-1]
 
 
@@ -123,15 +125,24 @@ def test_conditional_weights_zero_probability_category():
     assert weights[0, 0] == 0.0
 
 
+def _hex_record(record):
+    """A step record with every float as its hex string and the row as bytes."""
+    k, size, log_b, log_qp, sums = record
+    return k, size, log_b.hex(), log_qp.tobytes(), [(g.hex(), a.hex()) for g, a in sums]
+
+
 def test_tables_of_some_coordinates_are_the_full_tables_there():
     """Tables over a subset of coordinates hold, bit for bit, what the
-    tables over every coordinate hold there, and nothing elsewhere."""
-    from tvdist.coupling import _PairTables
+    tables over every coordinate hold there, and nothing elsewhere; so do
+    the kernel's step records built from them."""
+    from tvdist.coupling import _PairTables, _step_records
 
     for p, q in random_instances(4040, 30, max_n=8, max_q=5):
-        full = _PairTables(p, q, list(range(p.n)))
+        stats = tv.build_stats(p, q)
+        every = list(range(p.n))
+        full = _PairTables(p, q, every)
         assert full.bounds == list(itertools.accumulate(p.domain_sizes, initial=0))
-        steps = [k for k, d in enumerate(tv.build_stats(p, q).d) if d != 0.0]
+        steps = [k for k, d in enumerate(stats.d) if d != 0.0]
         part = _PairTables(p, q, steps)
         assert part.max_q == max((p.domain_sizes[k] for k in steps), default=0)
         for k in range(p.n):
@@ -140,9 +151,43 @@ def test_tables_of_some_coordinates_are_the_full_tables_there():
                 assert lo == hi
                 continue
             span = slice(full.bounds[k], full.bounds[k + 1])
-            for name in ("p", "log_qp", "gap", "agree"):
+            for name in ("p", "q", "log_qp"):
                 got, want = getattr(part, name)[lo:hi], getattr(full, name)[span]
                 assert got.tobytes() == want.tobytes(), (k, name)
+        full_records = list(map(_hex_record, _step_records(full, stats, every)))
+        part_records = list(map(_hex_record, _step_records(part, stats, steps)))
+        assert part_records == [full_records[k] for k in steps]
+
+
+def test_step_sums_are_plain_running_sums():
+    """Each step record's ``(gap, agree)`` pairs are, bit for bit, the
+    running sums of ``max(p - q, 0.0)`` and ``min(p, q)`` over the plain
+    rows, in category order."""
+    from tvdist.coupling import _PairTables, _step_records
+
+    # a zero-probability category and a d_i = 1 coordinate beside ordinary ones
+    named = (
+        tv.validate([[0.0, 0.3, 0.7], [1.0, 0.0], [0.5, 0.5]]),
+        tv.validate([[0.2, 0.0, 0.8], [0.0, 1.0], [0.4, 0.6]]),
+    )
+    batches = [random_instances(*batch) for batch in BATCHES]
+    zero_seen = disjoint_seen = False
+    for p, q in itertools.chain([named], *batches):
+        stats = tv.build_stats(p, q)
+        steps = list(range(p.n))
+        records = list(_step_records(_PairTables(p, q, steps), stats, steps))
+        assert [record[0] for record in records] == steps
+        for k, size, log_b, _, sums in records:
+            p_row, q_row = p.rows[k], q.rows[k]
+            gap = itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row))
+            agree = itertools.accumulate(min(a, b) for a, b in zip(p_row, q_row))
+            want = [(g.hex(), a.hex()) for g, a in zip(gap, agree)]
+            assert [(g.hex(), a.hex()) for g, a in sums] == want, k
+            assert size == len(p_row)
+            assert log_b.hex() == stats.suffix_log[k + 1].hex()
+            zero_seen |= 0.0 in p_row
+            disjoint_seen |= stats.d[k] == 1.0
+    assert zero_seen and disjoint_seen
 
 
 def test_step_normalizer_degenerate_on_identical():
