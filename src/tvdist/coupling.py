@@ -20,10 +20,11 @@ Both terms are non-negative, so nothing cancels, and a step takes one
 ``expm1`` per draw. All products over coordinates are held as sums of
 logs, and ``1 - x`` quantities go through ``log1p``/``expm1``, because the
 interesting regime is exponentially small per-coordinate distances where
-naive products lose everything to rounding. One table holds the log
-``Q_i/P_i`` ratios; capped at 0 they are the log ``min(P_i, Q_i)/P_i``
-ones. Every zero factor (``d_i = 1`` in a suffix product, a zero
-``Q_i/P_i`` ratio) is a log of ``-inf``, its zero flag.
+naive products lose everything to rounding. One log-ratio row per
+coordinate holds the log ``Q_i/P_i`` ratios (:func:`_log_ratios`); capped
+at 0 they are the log ``min(P_i, Q_i)/P_i`` ones. Every zero factor
+(``d_i = 1`` in a suffix product, a zero ``Q_i/P_i`` ratio) is a log of
+``-inf``, its zero flag.
 
 Randomness: a run is identified by a 64-bit ``seed``; work unit ``b``
 (a block of up to :data:`SAMPLE_BLOCK` consecutive draws) uses the
@@ -195,8 +196,8 @@ def _draw_panels(
     # The float rows and the uniform chunks share one allocation, which on
     # the f paths outweighs the run's others together. glibc's malloc keeps
     # its heap pages while a run frees less than twice its largest block, so
-    # later runs reuse them; with the chunks apart, a 16384-draw run with
-    # max_q = 2 faulted in about 290 fresh pages.
+    # later runs reuse them; with the chunks apart, a 16384-draw run over
+    # binary coordinates faulted in about 290 fresh pages.
     doubles = np.empty(floats * width + (1 + prefetch) * capacity)
     flats = itertools.cycle(np.split(doubles[floats * width :], 1 + prefetch))
     buffers = doubles[: floats * width].reshape(floats, width), np.empty((picks, width), np.intp)
@@ -241,57 +242,51 @@ def _draw_panels(
             yield (rows, *views)
 
 
-class _PairTables:
-    """Per-category lookup tables shared by the sampling and estimate kernels.
+def _log_ratios(
+    p: ProductDistribution, q: ProductDistribution, steps: list[int]
+) -> list[np.ndarray]:
+    """The log ``Q/P`` row of each coordinate in ``steps``, in that order.
 
-    Categories of the ``steps`` coordinates lie back to back; coordinate ``k``
-    (0-based) owns ``bounds[k]:bounds[k + 1]`` of each array (empty if not stepped):
-      - ``p`` and ``q``: ``P_k(c)`` and ``Q_k(c)``,
-      - ``log_qp``: log of the ``Q/P`` ratio (0 where ``P = 0``: such a
-        category is never drawn); its minimum with 0 is the log of the
-        ``min(P, Q)/P`` ratio.
-    The log ratio is built from ``log1p((Q - P)/P)`` so near-identical
-    marginals keep full relative accuracy, except where ``(Q - P)/P``
-    rounds to -1 or overflows (Q/P below about 2^-54, ``Q = 0``, or a
-    subnormal P): there ``log Q - log P`` keeps the ratio. A zero ratio is
-    stored as a log of ``-inf``, which is its zero flag. Every other log is
-    finite (``|log Q/P|`` is at most about 745), so a sum with a zero factor
-    stays ``-inf``, and ``-expm1(-inf)`` is exactly the 1 that ``1 - 0``
-    gives.
+    Entry ``c`` of coordinate ``k``'s row is the log of ``Q_k(c)/P_k(c)``
+    (0 where ``P = 0``: such a category is never drawn); its minimum with 0
+    is the log of the ``min(P, Q)/P`` ratio. The log ratio is built from
+    ``log1p((Q - P)/P)`` so near-identical marginals keep full relative
+    accuracy, except where ``(Q - P)/P`` rounds to -1 or overflows (Q/P
+    below about 2^-54, ``Q = 0``, or a subnormal P): there ``log Q - log P``
+    keeps the ratio. A zero ratio is stored as a log of ``-inf``, which is
+    its zero flag. Every other log is finite (``|log Q/P|`` is at most about
+    745), so a sum with a zero factor stays ``-inf``, and ``-expm1(-inf)``
+    is exactly the 1 that ``1 - 0`` gives. The rows are views of one array.
     """
-
-    __slots__ = ("p", "q", "log_qp", "bounds", "max_q")
-
-    def __init__(self, p: ProductDistribution, q: ProductDistribution, steps: list[int]):
-        stepped = set(steps)
-        widths = [size * (k in stepped) for k, size in enumerate(p.domain_sizes)]
-        self.bounds = list(itertools.accumulate(widths, initial=0))
-        self.max_q = max(widths)
-        entries = itertools.chain.from_iterable
-        self.p = pv = np.fromiter(entries(p.rows[k] for k in steps), np.float64)
-        self.q = qv = np.fromiter(entries(q.rows[k] for k in steps), np.float64)
-        pos = pv > 0.0
-        with np.errstate(over="ignore"):
-            rel = (qv - pv) / np.where(pos, pv, 1.0)
-        far = pos & ~((rel > -1.0) & (rel < np.inf))
-        self.log_qp = np.log1p(np.where(pos & ~far, rel, 0.0))
-        with np.errstate(divide="ignore"):
-            self.log_qp[far] = np.log(qv[far]) - np.log(pv[far])
+    # one pass over the categories of every step, laid back to back
+    entries = itertools.chain.from_iterable
+    pv = np.fromiter(entries(p.rows[k] for k in steps), np.float64)
+    qv = np.fromiter(entries(q.rows[k] for k in steps), np.float64)
+    pos = pv > 0.0
+    with np.errstate(over="ignore"):
+        rel = (qv - pv) / np.where(pos, pv, 1.0)
+    far = pos & ~((rel > -1.0) & (rel < np.inf))
+    log_qp = np.log1p(np.where(pos & ~far, rel, 0.0))
+    with np.errstate(divide="ignore"):
+        log_qp[far] = np.log(qv[far]) - np.log(pv[far])
+    bounds = itertools.accumulate((p.domain_sizes[k] for k in steps), initial=0)
+    return [log_qp[lo:hi] for lo, hi in itertools.pairwise(bounds)]
 
 
 def _step_records(
-    tables: _PairTables, stats: GreedyCouplingStats, steps: list[int]
-) -> Iterator[tuple[int, int, float, np.ndarray, list[tuple[float, float]]]]:
-    """``(k, categories, log B_k, log Q/P row, sums)`` per ``k`` in ``steps``.
+    p: ProductDistribution, q: ProductDistribution, stats: GreedyCouplingStats, steps: list[int]
+) -> list[tuple[int, float, np.ndarray, list[tuple[float, float]]]]:
+    """``(k, log B_k, log Q/P row, sums)`` per ``k`` in ``steps``.
     ``sums[c]`` is the ``(gap, agree)`` pair :func:`_step_weights` multiplies
     by: the running sums over ``0..c`` of ``max(P - Q, 0)`` and ``min(P, Q)``.
     """
-    gap = np.maximum(tables.p - tables.q, 0.0).tolist()
-    agree = np.minimum(tables.p, tables.q).tolist()
-    for k in steps:
-        lo, hi = tables.bounds[k], tables.bounds[k + 1]
-        sums = zip(itertools.accumulate(gap[lo:hi]), itertools.accumulate(agree[lo:hi]))
-        yield k, hi - lo, stats.suffix_log[k + 1], tables.log_qp[lo:hi], list(sums)
+    records = []
+    for k, log_qp in zip(steps, _log_ratios(p, q, steps)):
+        p_row, q_row = p.rows[k], q.rows[k]
+        gap = itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row))
+        agree = itertools.accumulate(map(min, p_row, q_row))
+        records.append((k, stats.suffix_log[k + 1], log_qp, list(zip(gap, agree))))
+    return records
 
 
 def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.ndarray) -> None:
@@ -323,7 +318,7 @@ def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.nd
 
 
 def _step_weights(
-    sums: list[tuple], log_a: np.ndarray, log_b: float, cum: np.ndarray, y: np.ndarray
+    sums: list[tuple[float, float]], log_a: np.ndarray, log_b: float, cum: np.ndarray, y: np.ndarray
 ) -> None:
     """Cumulative conditional weights of coordinate ``k``, per draw.
 
@@ -370,9 +365,8 @@ def _f_stage(log_a: np.ndarray, t_qp: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def _sample_panels(
-    tables: _PairTables,
+    records: list[tuple[int, float, np.ndarray, list[tuple[float, float]]]],
     stats: GreedyCouplingStats,
-    steps: list[int],
     seed: int,
     count: int,
     *,
@@ -388,12 +382,13 @@ def _sample_panels(
     ``want_assignments`` is set, or its per-sample estimate values ``f``;
     both are views the next panel overwrites. Every operation acts on each
     draw alone, so a draw's result does not depend on the panel it is
-    stepped in. ``steps`` lists the 0-based coordinates to step, ascending,
-    each consuming one row of uniforms, which the step overwrites. A step
-    fills one disagreement row and the cumulative weights from its record
-    (:func:`_step_records`, :func:`_step_weights`), one row per category,
-    selects, and gathers the chosen log ``Q/P`` ratios once for both log
-    sums; a binary coordinate costs three rows and one comparison.
+    stepped in. ``records`` (:func:`_step_records`) holds one record per
+    coordinate to step, ascending by its 0-based ``k``; each step consumes
+    one row of uniforms, which it overwrites. A step fills one disagreement
+    row and the cumulative weights from its record (:func:`_step_weights`),
+    one row per category, selects, and gathers the chosen log ``Q/P`` ratios
+    from the record's row once for both log sums; a binary coordinate costs
+    three rows and one comparison.
     :func:`_f_stage` turns the log sums into ``f``. ``check_invariants`` is
     as in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
 
@@ -403,7 +398,7 @@ def _sample_panels(
     later weight can change, and the step's total equals the disagreement
     factor the previous step chose, which is positive.
     """
-    records = list(_step_records(tables, stats, steps))
+    steps = [record[0] for record in records]
     # float rows: log A, y, on the f path the log Q/P sum, then the weights
     heads = 2 if want_assignments else 3
     for rows, floats, picks in _draw_panels(
@@ -411,7 +406,7 @@ def _sample_panels(
         count,
         steps,
         stats.n,
-        floats=heads + tables.max_q,
+        floats=heads + max(len(sums) for *_, sums in records),
         picks=stats.n if want_assignments else 1,
         prefetch=prefetch,
     ):
@@ -422,9 +417,9 @@ def _sample_panels(
             t_qp = floats[2]
             t_qp.fill(0.0)
 
-        for (k, q_k, log_b, log_qp, sums), uniform in zip(records, rows):
+        for (k, log_b, log_qp, sums), uniform in zip(records, rows):
             _step_weights(sums, log_a, log_b, cum, y)
-            total = cum[q_k - 1]
+            total = cum[len(sums) - 1]
             total_low = float(total.min())
             if not total_low > 0.0:
                 raise DegenerateConditional(
@@ -440,7 +435,7 @@ def _sample_panels(
 
             threshold = np.multiply(uniform, total, out=uniform)
             picked = picks[k] if want_assignments else picks[0]
-            _select(cum[:q_k], threshold, total_low, picked)
+            _select(cum[: len(sums)], threshold, total_low, picked)
             # y is spent once the weights are filled: it takes the chosen ratios
             log_qp.take(picked, out=y, mode="clip")
             if not want_assignments:
@@ -483,16 +478,10 @@ def sample_pi_batch(
     except ValueError:  # a shape numpy cannot make; a true MemoryError propagates
         msg = f"count={count} draws of n={p.n} coordinates do not fit in one array"
         raise InvalidParameter(msg) from None
-    steps = list(range(p.n))
+    records = _step_records(p, q, stats, list(range(p.n)))
     offset = 0
     for selections in _sample_panels(
-        _PairTables(p, q, steps),
-        stats,
-        steps,
-        seed,
-        count,
-        want_assignments=True,
-        check_invariants=check_invariants,
+        records, stats, seed, count, want_assignments=True, check_invariants=check_invariants
     ):
         drawn = selections[0].size
         np.add(selections.reshape(p.n, drawn).T, 1, out=out[offset : offset + drawn])
@@ -584,10 +573,10 @@ def estimator_f(
     """Per-sample estimate ``f`` of each row of an ``(m, n)`` outcome array.
 
     Rows hold 1-based categories, as :func:`sample_pi_batch` returns them;
-    the result is an ``(m,)`` array in [0, 1]. The ratios are gathered from
-    the sampling kernel's tables in coordinate order and passed through its
-    f stage, so each value has the bits the kernel gives the same outcome in
-    :func:`estimate_tv`.
+    the result is an ``(m,)`` array in [0, 1]. The ratios are gathered,
+    coordinate by coordinate, from the sampling kernel's log-ratio rows
+    (:func:`_log_ratios`) and passed through its f stage, so each value has
+    the bits the kernel gives the same outcome in :func:`estimate_tv`.
 
     Raises:
         DomainMismatch, IndexOutOfRange: the array does not fit ``p``.
@@ -598,18 +587,15 @@ def estimator_f(
     """
     require_same_shape(p, q)
     values = check_assignment(p, assignments)
-    tables = _PairTables(p, q, list(range(p.n)))
-    # flat table index of each outcome's category, one row per coordinate
-    picked = (values - 1 + tables.bounds[:-1]).T
-    outside = tables.p[picked] == 0.0
-    if outside.any():
-        i = int(np.argmax(outside.any(axis=1))) + 1
-        raise ZeroDenominator(f"coordinate {i}: outcome lies outside the support of P")
     m = len(values)
     log_a, t_qp = np.zeros(m), np.zeros(m)
-    for row in picked:
-        np.add(log_a, np.minimum(tables.log_qp[row], 0.0), out=log_a)
-        np.add(t_qp, tables.log_qp[row], out=t_qp)
+    for k, log_qp in enumerate(_log_ratios(p, q, list(range(p.n)))):
+        picked = values[:, k] - 1
+        if (np.asarray(p.rows[k])[picked] == 0.0).any():
+            raise ZeroDenominator(f"coordinate {k + 1}: outcome lies outside the support of P")
+        ratios = log_qp[picked]
+        np.add(log_a, np.minimum(ratios, 0.0), out=log_a)
+        np.add(t_qp, ratios, out=t_qp)
     return _f_stage(log_a, t_qp, np.empty(m))
 
 
@@ -643,10 +629,10 @@ def estimate_tv(
     m = config.samples_override or sample_count(p.n, config.epsilon, config.delta)
     # d_k = 0 coordinates cannot change f (see _sample_panels)
     steps = [k for k, d in enumerate(stats.d) if d != 0.0]
-    tables = _PairTables(p, q, steps)
+    records = _step_records(p, q, stats, steps)
     prefetch = config.workers > 1
     f_panels = _sample_panels(
-        tables, stats, steps, config.seed, m, want_assignments=False, prefetch=prefetch
+        records, stats, config.seed, m, want_assignments=False, prefetch=prefetch
     )
     with closing(f_panels):
         mean_f = _block_mean(f_panels, m)
@@ -669,8 +655,9 @@ def naive_estimate_tv(
     distance is tiny and carried by rare outcomes, typical runs return 0.
     Each value is the f stage's with a zero ``min(P, Q)/P`` product, whose
     denominator is exactly 1. Uses the block/stream layout and the steps
-    (``d_i != 0``) of :func:`estimate_tv`, with each step's cumulative P
-    row built once per run, and reports the mean with a scale factor of 1
+    (``d_i != 0``) of :func:`estimate_tv`, pairing each step's log-ratio
+    row (:func:`_log_ratios`) with its cumulative P row, both built once
+    per run, and reports the mean with a scale factor of 1
     (``pr_diff`` field set to 1.0).
     """
     start = time.perf_counter()
@@ -678,9 +665,7 @@ def naive_estimate_tv(
     check_seed(seed)
     samples = check_count("samples", samples)
     steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
-    tables = _PairTables(p, q, steps)
-    spans = [slice(tables.bounds[k], tables.bounds[k + 1]) for k in steps]
-    records = [(tables.log_qp[span], np.cumsum(tables.p[span])) for span in spans]
+    records = [(log_qp, np.cumsum(p.rows[k])) for k, log_qp in zip(steps, _log_ratios(p, q, steps))]
 
     def g_panels() -> Iterator[np.ndarray]:
         for rows, (log_a, log_qp, g), (chosen,) in _draw_panels(

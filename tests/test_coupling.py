@@ -15,7 +15,7 @@ from tvdist.errors import (
     InvalidParameter,
 )
 
-from conftest import all_states, random_instance_pair, random_instances, rows
+from conftest import FAR_RATIO_PAIRS, all_states, random_instance_pair, random_instances, rows
 from test_stats_parity import BATCHES
 
 
@@ -92,13 +92,12 @@ def _kernel_weights(p, q, k, log_a):
     """Conditional weights of coordinate ``k`` (0-based) from the kernel's
     weight fill on its step record, one column per prefix log ratio in
     ``log_a``, and their totals."""
-    from tvdist.coupling import _PairTables, _step_records, _step_weights
+    from tvdist.coupling import _step_records, _step_weights
 
-    steps = list(range(p.n))
-    records = _step_records(_PairTables(p, q, steps), tv.build_stats(p, q), steps)
-    _, size, log_b, _, sums = list(records)[k]
+    records = _step_records(p, q, tv.build_stats(p, q), list(range(p.n)))
+    _, log_b, _, sums = records[k]
     log_a = np.asarray(log_a, dtype=float)
-    cum = np.empty((size, log_a.size))
+    cum = np.empty((len(sums), log_a.size))
     _step_weights(sums, log_a, log_b, cum, np.empty(log_a.size))
     return np.diff(cum, axis=0, prepend=0.0), cum[-1]
 
@@ -127,43 +126,65 @@ def test_conditional_weights_zero_probability_category():
 
 def _hex_record(record):
     """A step record with every float as its hex string and the row as bytes."""
-    k, size, log_b, log_qp, sums = record
-    return k, size, log_b.hex(), log_qp.tobytes(), [(g.hex(), a.hex()) for g, a in sums]
+    k, log_b, log_qp, sums = record
+    return k, log_b.hex(), log_qp.tobytes(), [(g.hex(), a.hex()) for g, a in sums]
 
 
 def test_tables_of_some_coordinates_are_the_full_tables_there():
-    """Tables over a subset of coordinates hold, bit for bit, what the
-    tables over every coordinate hold there, and nothing elsewhere; so do
-    the kernel's step records built from them."""
-    from tvdist.coupling import _PairTables, _step_records
+    """The log-ratio rows over a subset of coordinates are, bit for bit,
+    the rows over every coordinate there; so are the kernel's step records
+    built over them."""
+    from tvdist.coupling import _log_ratios, _step_records
 
     for p, q in random_instances(4040, 30, max_n=8, max_q=5):
         stats = tv.build_stats(p, q)
         every = list(range(p.n))
-        full = _PairTables(p, q, every)
-        assert full.bounds == list(itertools.accumulate(p.domain_sizes, initial=0))
+        full = _log_ratios(p, q, every)
+        assert [row.size for row in full] == list(p.domain_sizes)
         steps = [k for k, d in enumerate(stats.d) if d != 0.0]
-        part = _PairTables(p, q, steps)
-        assert part.max_q == max((p.domain_sizes[k] for k in steps), default=0)
-        for k in range(p.n):
-            lo, hi = part.bounds[k], part.bounds[k + 1]
-            if k not in steps:
-                assert lo == hi
-                continue
-            span = slice(full.bounds[k], full.bounds[k + 1])
-            for name in ("p", "q", "log_qp"):
-                got, want = getattr(part, name)[lo:hi], getattr(full, name)[span]
-                assert got.tobytes() == want.tobytes(), (k, name)
-        full_records = list(map(_hex_record, _step_records(full, stats, every)))
-        part_records = list(map(_hex_record, _step_records(part, stats, steps)))
+        part = _log_ratios(p, q, steps)
+        assert [row.tobytes() for row in part] == [full[k].tobytes() for k in steps]
+        full_records = list(map(_hex_record, _step_records(p, q, stats, every)))
+        part_records = list(map(_hex_record, _step_records(p, q, stats, steps)))
         assert part_records == [full_records[k] for k in steps]
+
+
+def test_log_ratio_rows_follow_the_rule_entry_by_entry():
+    """Every log-ratio entry is, by ``float.hex``, the rule applied to that
+    entry alone with the same numpy functions: 0 where P = 0,
+    ``log1p((Q - P)/P)`` where that quotient is above -1 and finite, and
+    ``log Q - log P`` otherwise (Q/P below about 2^-54, Q = 0, or a
+    subnormal P). Every branch occurs."""
+    from tvdist.coupling import _log_ratios
+
+    def reference(a: float, b: float) -> tuple[str, float]:
+        pv, qv = np.array([a]), np.array([b])
+        if a == 0.0:
+            return "zero", 0.0
+        with np.errstate(over="ignore"):
+            rel = (qv - pv) / pv
+        if -1.0 < rel[0] < np.inf:
+            return "near", float(np.log1p(rel)[0])
+        with np.errstate(divide="ignore"):
+            return "far", float((np.log(qv) - np.log(pv))[0])
+
+    named = [tuple(map(tv.validate, pair)) for pair in FAR_RATIO_PAIRS.values()]
+    batches = [random_instances(*batch) for batch in BATCHES]
+    seen = set()
+    for p, q in itertools.chain(named, *batches):
+        for k, row in enumerate(_log_ratios(p, q, list(range(p.n)))):
+            for c, (a, b) in enumerate(zip(p.rows[k], q.rows[k])):
+                branch, want = reference(a, b)
+                assert float(row[c]).hex() == want.hex(), (k, c, branch)
+                seen.add(branch)
+    assert seen == {"zero", "near", "far"}
 
 
 def test_step_sums_are_plain_running_sums():
     """Each step record's ``(gap, agree)`` pairs are, bit for bit, the
     running sums of ``max(p - q, 0.0)`` and ``min(p, q)`` over the plain
     rows, in category order."""
-    from tvdist.coupling import _PairTables, _step_records
+    from tvdist.coupling import _step_records
 
     # a zero-probability category and a d_i = 1 coordinate beside ordinary ones
     named = (
@@ -175,15 +196,14 @@ def test_step_sums_are_plain_running_sums():
     for p, q in itertools.chain([named], *batches):
         stats = tv.build_stats(p, q)
         steps = list(range(p.n))
-        records = list(_step_records(_PairTables(p, q, steps), stats, steps))
+        records = _step_records(p, q, stats, steps)
         assert [record[0] for record in records] == steps
-        for k, size, log_b, _, sums in records:
+        for k, log_b, _, sums in records:
             p_row, q_row = p.rows[k], q.rows[k]
             gap = itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row))
             agree = itertools.accumulate(min(a, b) for a, b in zip(p_row, q_row))
             want = [(g.hex(), a.hex()) for g, a in zip(gap, agree)]
             assert [(g.hex(), a.hex()) for g, a in sums] == want, k
-            assert size == len(p_row)
             assert log_b.hex() == stats.suffix_log[k + 1].hex()
             zero_seen |= 0.0 in p_row
             disjoint_seen |= stats.d[k] == 1.0
@@ -192,11 +212,11 @@ def test_step_sums_are_plain_running_sums():
 
 def test_step_normalizer_degenerate_on_identical():
     """The kernel rejects a step whose weights sum to 0."""
-    from tvdist.coupling import _PairTables, _sample_panels
+    from tvdist.coupling import _sample_panels, _step_records
 
     p = tv.validate([[0.5, 0.5]])
     stats = tv.build_stats(p, p)
-    panels = _sample_panels(_PairTables(p, p, [0]), stats, [0], 7, 4, want_assignments=False)
+    panels = _sample_panels(_step_records(p, p, stats, [0]), stats, 7, 4, want_assignments=False)
     with pytest.raises(DegenerateConditional):
         next(panels)
 
@@ -204,10 +224,10 @@ def test_step_normalizer_degenerate_on_identical():
 def _chain_probabilities(p, q, states):
     """Multiply the kernel's normalized weights along each full path of the
     ``(S, n)`` array of 1-based ``states``, with each step's prefix log
-    ratio gathered from the kernel's tables."""
-    from tvdist.coupling import _PairTables
+    ratio gathered from the kernel's log-ratio rows."""
+    from tvdist.coupling import _log_ratios
 
-    tables = _PairTables(p, q, list(range(p.n)))
+    log_ratios = _log_ratios(p, q, list(range(p.n)))
     count = len(states)
     log_a = np.zeros(count)
     probability = np.ones(count)
@@ -216,7 +236,7 @@ def _chain_probabilities(p, q, states):
         chosen = weights[column, np.arange(count)]
         # a prefix with no conditional mass (total 0) is never reached
         probability *= np.divide(chosen, total, out=np.zeros(count), where=total > 0.0)
-        log_a = log_a + np.minimum(tables.log_qp[tables.bounds[k] + column], 0.0)
+        log_a = log_a + np.minimum(log_ratios[k][column], 0.0)
     return probability
 
 
@@ -646,18 +666,16 @@ def test_reader_error_stops_filling_thread(monkeypatch):
 def test_closing_kernel_early_stops_filling_thread():
     """Closing the kernel after its first panel, with the next chunk being
     filled ahead, leaves no filling thread running."""
-    from tvdist.coupling import _PairTables, _sample_panels
+    from tvdist.coupling import _sample_panels, _step_records
 
     def uniform_threads():
         return [t for t in threading.enumerate() if t.name.startswith("tvdist-uniforms")]
 
     p = tv.validate([[0.5, 0.5]] * 100)
     q = tv.validate([[0.52, 0.48]] * 100)
-    steps = list(range(100))
-    tables, stats = _PairTables(p, q, steps), tv.build_stats(p, q)
-    panels = _sample_panels(
-        tables, stats, steps, 3, 9 * 4096, want_assignments=False, prefetch=True
-    )
+    stats = tv.build_stats(p, q)
+    records = _step_records(p, q, stats, list(range(100)))
+    panels = _sample_panels(records, stats, 3, 9 * 4096, want_assignments=False, prefetch=True)
     assert next(panels).shape == (4, 4096)
     assert len(uniform_threads()) == 1
     panels.close()

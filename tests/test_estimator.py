@@ -105,6 +105,11 @@ def test_estimator_f_outside_p_support():
     q = tv.validate([[0.5, 0.5]])
     with pytest.raises(ZeroDenominator):
         tv.estimator_f(p, q, np.array([[2]]))
+    # outside in coordinates 3 and 2: the error names the first, 2
+    p = tv.validate([[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]])
+    q = tv.validate([[0.4, 0.6], [0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ZeroDenominator, match="^coordinate 2:"):
+        tv.estimator_f(p, q, np.array([[1, 1, 2], [1, 2, 1]]))
 
 
 def test_estimator_f_invalid_assignment(bernoulli_pair):
