@@ -53,9 +53,9 @@ The estimator, :func:`estimate_tv`, averages per drawn outcome ``omega``
 
 which lies in [0, 1] and has mean tv(P, Q) / pr_diff, so it reports
 ``mean(f) * pr_diff``, with the draw count from
-:func:`~tvdist.distributions.sample_count`. Each block's values get an
-error-free sum, and the block sums another in block order, so a result is
-bit-identical for a fixed configuration whatever the worker count. The
+:func:`~tvdist.distributions.sample_count`. The values get an error-free
+sum per block (exact level sums), and the block sums another in block
+order, so a result for a fixed seed is bit-identical whatever the worker count. The
 baseline, :func:`naive_estimate_tv`, averages ``max{0, 1 - Q(omega)/P(omega)}``
 over draws from P: ``f`` with a denominator of 1, from the same f stage. It
 is unbiased, but its relative error degrades as the distance shrinks, which
@@ -166,17 +166,17 @@ def _draw_panels(
     *,
     floats: int,
     picks: int,
+    flags: int = 0,
     prefetch: bool = False,
-) -> Iterator[tuple[Iterator[np.ndarray], np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[Iterator[np.ndarray], np.ndarray, np.ndarray, np.ndarray]]:
     """The run plan of ``count`` draws over ``n`` coordinates, panel by panel.
 
-    Yields ``(rows, floats, picks)`` per panel (see :func:`_panels`).
+    Yields ``(rows, floats, picks, flags)`` per panel (see :func:`_panels`).
     ``rows``, one reader for the whole run, yields a ``(blocks, size)`` row
     of uniforms for each coordinate in ``steps``, panel after panel: that
     coordinate's row of every block in the panel. The others are
-    ``(rows, blocks, size)`` views of buffers with that many rows of
-    doubles and of indices. The buffers are allocated once per run, so
-    a run touches fresh pages once, not once per panel.
+    ``(rows, blocks, size)`` views of buffers, allocated once per run, with
+    that many rows of doubles, of counts to ``flags`` and of bools.
 
     The reader fills a chunk at a time: the rows of as many consecutive
     needed coordinates as fit in :data:`UNIFORM_CHUNK` doubles, or one row
@@ -193,14 +193,17 @@ def _draw_panels(
     # the widest panel: up to PANEL_BLOCKS full blocks, or else the short one
     width = SAMPLE_BLOCK * min(count // SAMPLE_BLOCK, PANEL_BLOCKS) or count
     capacity = max(UNIFORM_CHUNK, width)
-    # The float rows and the uniform chunks share one allocation, which on
-    # the f paths outweighs the run's others together. glibc's malloc keeps
+    # The float rows, flag rows and uniform chunks share one allocation, which
+    # on the f paths outweighs the run's others together. glibc's malloc keeps
     # its heap pages while a run frees less than twice its largest block, so
     # later runs reuse them; with the chunks apart, a 16384-draw run over
     # binary coordinates faulted in about 290 fresh pages.
-    doubles = np.empty(floats * width + (1 + prefetch) * capacity)
-    flats = itertools.cycle(np.split(doubles[floats * width :], 1 + prefetch))
-    buffers = doubles[: floats * width].reshape(floats, width), np.empty((picks, width), np.intp)
+    head, tail = floats * width, floats * width + -(-flags * width // 8)
+    doubles = np.empty(tail + (1 + prefetch) * capacity)
+    flats = itertools.cycle(np.split(doubles[tail:], 1 + prefetch))
+    bools = doubles[head:tail].view(np.bool_)[: flags * width]
+    counts = np.empty((picks, width), np.min_scalar_type(flags))
+    buffers = [b.reshape(-1, width) for b in (doubles[:head], counts, bools)]
     # consecutive coordinates that all need uniforms, or all are passed over
     needed = set(steps).__contains__
     runs = [(need, list(run)) for need, run in itertools.groupby(range(n), needed)]
@@ -275,30 +278,36 @@ def _log_ratios(
 
 def _step_records(
     p: ProductDistribution, q: ProductDistribution, stats: GreedyCouplingStats, steps: list[int]
-) -> list[tuple[int, float, np.ndarray, list[tuple[float, float]]]]:
-    """``(k, log B_k, log Q/P row, sums)`` per ``k`` in ``steps``.
-    ``sums[c]`` is the ``(gap, agree)`` pair :func:`_step_weights` multiplies
-    by: the running sums over ``0..c`` of ``max(P - Q, 0)`` and ``min(P, Q)``.
+) -> list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray, int]]:
+    """``(k, log B_k, log Q/P row, gap, neg_agree, first)`` per ``k`` in ``steps``:
+    ``(q_k, 1, 1)`` views of the running sums (``itertools.accumulate``) of ``max(P - Q, 0)``
+    and, negated, ``min(P, Q)``; ``first`` counts ``gap``'s zeros, which lead (sums never fall).
     """
-    records = []
-    for k, log_qp in zip(steps, _log_ratios(p, q, steps)):
-        p_row, q_row = p.rows[k], q.rows[k]
-        gap = itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row))
-        agree = itertools.accumulate(map(min, p_row, q_row))
-        records.append((k, stats.suffix_log[k + 1], log_qp, list(zip(gap, agree))))
-    return records
+    def running(term):
+        sums = (itertools.accumulate(map(term, p.rows[k], q.rows[k])) for k in steps)
+        return np.fromiter(itertools.chain.from_iterable(sums), np.float64).reshape(-1, 1, 1)
+
+    gap, neg_agree = running(lambda a, b: max(a - b, 0.0)), np.negative(running(min))
+    bounds = list(itertools.accumulate((p.domain_sizes[k] for k in steps), initial=0))
+    zeros = np.add.reduceat(gap.ravel() == 0.0, bounds[:-1], dtype=np.intp).tolist()
+    return [
+        (k, stats.suffix_log[k + 1], row, gap[lo:hi], neg_agree[lo:hi], z)
+        for k, row, lo, hi, z in zip(steps, _log_ratios(p, q, steps), bounds, bounds[1:], zeros)
+    ]
 
 
-def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.ndarray) -> None:
+def _select(
+    cum: np.ndarray, threshold: np.ndarray, total_low: float, flags: np.ndarray, out: np.ndarray
+) -> None:
     """Inverse-CDF selection, scanning categories in ascending order.
 
     ``cum`` holds cumulative weights with one row per category, each row
     either shaped like ``threshold`` (one value per draw) or one value
     shared by all draws, and non-decreasing from row to row; ``threshold``
-    is ``u * cum[-1]`` per draw with ``u`` in [0, 1), and ``total_low`` the
-    smallest ``cum[-1]``. ``out`` receives ``#(cum <= threshold)``, clamped
-    to the last category of positive weight, which absorbs residual
-    rounding mass. ``threshold`` is not written.
+    is ``u * cum[-1]`` per draw with ``u`` in [0, 1), ``total_low`` at most
+    the smallest ``cum[-1]`` and ``flags`` bool scratch rows. ``out`` (unsigned)
+    receives ``#(cum <= threshold)``, clamped to the last category of positive
+    weight, which absorbs residual rounding mass. ``threshold`` is not written.
     """
     # The rows do not decrease in floating point: the kernel's
     # gap[c] + y * -agree[c] (y <= 0, see _step_weights) and the naive
@@ -310,30 +319,30 @@ def _select(cum: np.ndarray, threshold: np.ndarray, total_low: float, out: np.nd
     # the first row that reaches it, the last category of positive weight.
     if not total_low > _SMALLEST_NORMAL:
         threshold = np.minimum(threshold, np.nextafter(cum[-1], 0.0))
-    # Every threshold is now below the total, so the last row, which would
-    # add 0, is left out of the count (a lone row is counted, for 0).
-    np.less_equal(cum[0], threshold, out=out)
-    for row in cum[1:-1]:
-        np.add(out, np.less_equal(row, threshold), out=out)
+    # every threshold is now below the total, so the last row would add 0
+    below = flags[: len(cum) - 1]
+    if len(below) == 1 and out.itemsize == 1:  # one comparison row, as bytes, is the count
+        np.less_equal(cum[0], threshold, out=out.view(np.bool_))
+    else:
+        np.less_equal(cum[:-1], threshold, out=below)
+        np.add.reduce(below.view(np.uint8), axis=0, out=out)
 
 
-def _step_weights(
-    sums: list[tuple[float, float]], log_a: np.ndarray, log_b: float, cum: np.ndarray, y: np.ndarray
-) -> None:
+def _step_weights(record: tuple, log_a: np.ndarray, cum: np.ndarray, y: np.ndarray) -> None:
     """Cumulative conditional weights of coordinate ``k``, per draw.
 
     Row ``c`` of ``cum`` receives ``w_k(0) + ... + w_k(c)``, that is
-    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the step's ``sums``;
-    ``log_a`` holds log A_{k-1} per draw (``-inf`` for a zero prefix) and
-    ``log_b`` is log B_k (``-inf`` for a zero suffix). ``y`` receives
-    ``expm1(log A_{k-1} + log B_k)``, the negated disagreement factor.
+    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the step ``record``: one
+    broadcast product, then one sum from row ``first`` on (a ``+0.0`` gap could
+    only flip a zero's sign). ``log_a`` holds log A_{k-1} per draw (``-inf``
+    for a zero prefix); ``y`` receives ``expm1(log A_{k-1} + log B_k)``.
     """
+    _, log_b, _, gap, neg_agree, first = record
     np.add(log_a, log_b, out=y)
     np.expm1(y, out=y)
     # y * -agree equals (1 - A * B) * agree bit for bit
-    for row, (gap, agree) in zip(cum, sums):
-        np.multiply(y, -agree, out=row)
-        np.add(row, gap, out=row)
+    np.multiply(y, neg_agree, out=cum[: len(gap)])
+    np.add(cum[first : len(gap)], gap[first:], out=cum[first : len(gap)])
 
 
 def _f_stage(log_a: np.ndarray, t_qp: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -365,7 +374,7 @@ def _f_stage(log_a: np.ndarray, t_qp: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def _sample_panels(
-    records: list[tuple[int, float, np.ndarray, list[tuple[float, float]]]],
+    records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray, int]],
     stats: GreedyCouplingStats,
     seed: int,
     count: int,
@@ -373,22 +382,21 @@ def _sample_panels(
     want_assignments: bool,
     check_invariants: bool = False,
     prefetch: bool = False,
-) -> Iterator[np.ndarray]:
+) -> Iterator[np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Draw ``count`` outcomes from the conditional disagreement law.
 
-    Runs the plan of :func:`_draw_panels` (float and pick rows) and yields,
-    for each panel of ``(blocks, size)`` draws, either its 0-based
-    ``(n, blocks, size)`` selections (one row per coordinate) when
-    ``want_assignments`` is set, or its per-sample estimate values ``f``;
-    both are views the next panel overwrites. Every operation acts on each
-    draw alone, so a draw's result does not depend on the panel it is
-    stepped in. ``records`` (:func:`_step_records`) holds one record per
-    coordinate to step, ascending by its 0-based ``k``; each step consumes
-    one row of uniforms, which it overwrites. A step fills one disagreement
-    row and the cumulative weights from its record (:func:`_step_weights`),
-    one row per category, selects, and gathers the chosen log ``Q/P`` ratios
-    from the record's row once for both log sums; a binary coordinate costs
-    three rows and one comparison.
+    Runs the plan of :func:`_draw_panels` and yields, for each panel of
+    ``(blocks, size)`` draws, either its 0-based ``(n, blocks, size)``
+    selections (one row per coordinate) when ``want_assignments`` is set,
+    or its per-sample estimate values ``f`` and a spent float row for
+    :func:`_block_mean`; all are views the next panel overwrites. Every
+    operation acts on each draw alone, so a draw's result does not depend
+    on the panel it is stepped in. ``records`` (:func:`_step_records`) holds
+    one record per coordinate to step, ascending by its 0-based ``k``; each
+    step consumes one row of uniforms, which it overwrites. A step is a fixed
+    handful of whole-panel numpy calls whatever its category count (weights,
+    :func:`_step_weights`; count, :func:`_select`; one gather of the chosen log
+    ``Q/P`` ratios); a binary coordinate costs three rows and one comparison.
     :func:`_f_stage` turns the log sums into ``f``. ``check_invariants`` is
     as in :func:`sample_pi_batch`; ``prefetch`` fills uniforms on a pool thread.
 
@@ -399,16 +407,12 @@ def _sample_panels(
     factor the previous step chose, which is positive.
     """
     steps = [record[0] for record in records]
+    max_q = max(len(record[3]) for record in records)
     # float rows: log A, y, on the f path the log Q/P sum, then the weights
     heads = 2 if want_assignments else 3
-    for rows, floats, picks in _draw_panels(
-        seed,
-        count,
-        steps,
-        stats.n,
-        floats=heads + max(len(sums) for *_, sums in records),
-        picks=stats.n if want_assignments else 1,
-        prefetch=prefetch,
+    for rows, floats, picks, flags in _draw_panels(
+        seed, count, steps, stats.n, floats=heads + max_q, flags=max_q - 1,
+        picks=stats.n if want_assignments else 1, prefetch=prefetch,
     ):
         log_a, y = floats[:2]
         cum = floats[heads:]
@@ -417,10 +421,12 @@ def _sample_panels(
             t_qp = floats[2]
             t_qp.fill(0.0)
 
-        for (k, log_b, log_qp, sums), uniform in zip(records, rows):
-            _step_weights(sums, log_a, log_b, cum, y)
-            total = cum[len(sums) - 1]
-            total_low = float(total.min())
+        for record, uniform in zip(records, rows):
+            k, _, log_qp, gap, *_ = record
+            _step_weights(record, log_a, cum, y)
+            total = cum[len(gap) - 1]
+            # y * -agree >= 0, so no total is below gap[-1]: only a tiny one needs the min
+            total_low = gap[-1, 0, 0] if gap[-1, 0, 0] > _SMALLEST_NORMAL else total.min()
             if not total_low > 0.0:
                 raise DegenerateConditional(
                     f"step {k + 1}: conditional weights sum to a non-positive value"
@@ -435,14 +441,14 @@ def _sample_panels(
 
             threshold = np.multiply(uniform, total, out=uniform)
             picked = picks[k] if want_assignments else picks[0]
-            _select(cum[: len(sums)], threshold, total_low, picked)
+            _select(cum[: len(gap)], threshold, total_low, flags, picked)
             # y is spent once the weights are filled: it takes the chosen ratios
             log_qp.take(picked, out=y, mode="clip")
             if not want_assignments:
                 np.add(t_qp, y, out=t_qp)
             np.add(log_a, np.minimum(y, 0.0, out=y), out=log_a)
 
-        yield picks if want_assignments else _f_stage(log_a, t_qp, y)
+        yield picks if want_assignments else (_f_stage(log_a, t_qp, y), log_a)
 
 
 def sample_pi_batch(
@@ -480,11 +486,11 @@ def sample_pi_batch(
         raise InvalidParameter(msg) from None
     records = _step_records(p, q, stats, list(range(p.n)))
     offset = 0
-    for selections in _sample_panels(
+    for picks in _sample_panels(
         records, stats, seed, count, want_assignments=True, check_invariants=check_invariants
     ):
-        drawn = selections[0].size
-        np.add(selections.reshape(p.n, drawn).T, 1, out=out[offset : offset + drawn])
+        drawn = picks[0].size
+        np.add(picks.reshape(p.n, drawn).T, 1, out=out[offset : offset + drawn], dtype=out.dtype)
         offset += drawn
     return out
 
@@ -535,14 +541,27 @@ class EstimateResult:
     elapsed_seconds: float
 
 
-def _block_mean(panels: Iterable[np.ndarray], count: int) -> float:
-    """Mean of ``count`` values given as ``(blocks, size)`` panels.
+def _block_mean(panels: Iterable[tuple[np.ndarray, np.ndarray]], count: int) -> float:
+    """Mean of ``count`` values in [0, 1], given as ``(blocks, size)`` panels.
 
-    The one merge of both estimators: one error-free sum per block, then
-    one over the block sums in block order, so the result never depends on
-    how blocks were grouped into panels.
+    The one merge of both estimators: one error-free sum per block, then one over the
+    block sums in block order. Each panel comes with scratch of its shape; both are
+    overwritten. A block sums in exact levels (after Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008): from ``sigma = 2**13``, ``part = (rest + sigma) - sigma``,
+    ``rest -= part``, ``sigma *= 2**-40``. While ``|rest| <= 2**-13 * sigma``, both are
+    exact, ``part`` is a multiple of ``g = sigma * 2**-53`` up to ``(2**40 + 1) g`` and the
+    new ``rest`` at most ``g``; so a level's partial sums over at most ``2**12`` values
+    stay under ``2**53 g``, exact, and ``fsum`` of the level sums is ``fsum(block)``. At
+    ``sigma = 2**-1027``, ``rest + sigma`` is subnormal and exact: 27 levels at most.
     """
-    sums = (math.fsum(memoryview(block)) for panel in panels for block in panel)
+    sums = []
+    for rest, part in panels:
+        levels, sigma = [], 2.0**13
+        while np.count_nonzero(rest):
+            levels.append(np.subtract(np.add(rest, sigma, out=part), sigma, out=part).sum(axis=1))
+            rest -= part
+            sigma *= 2.0**-40
+        sums += map(math.fsum, zip(*levels))
     return math.fsum(sums) / count
 
 
@@ -656,28 +675,29 @@ def naive_estimate_tv(
     Each value is the f stage's with a zero ``min(P, Q)/P`` product, whose
     denominator is exactly 1. Uses the block/stream layout and the steps
     (``d_i != 0``) of :func:`estimate_tv`, pairing each step's log-ratio
-    row (:func:`_log_ratios`) with its cumulative P row, both built once
-    per run, and reports the mean with a scale factor of 1
-    (``pr_diff`` field set to 1.0).
+    row (:func:`_log_ratios`) with its cumulative P column, both built once
+    per run, and reports the mean of :func:`_block_mean` with a scale factor
+    of 1 (``pr_diff`` field set to 1.0).
     """
     start = time.perf_counter()
     d = coordinate_tvs(p, q)
     check_seed(seed)
     samples = check_count("samples", samples)
     steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
-    records = [(log_qp, np.cumsum(p.rows[k])) for k, log_qp in zip(steps, _log_ratios(p, q, steps))]
+    ratios = _log_ratios(p, q, steps)
+    records = [(row, np.cumsum(p.rows[k]).reshape(-1, 1, 1)) for k, row in zip(steps, ratios)]
 
-    def g_panels() -> Iterator[np.ndarray]:
-        for rows, (log_a, log_qp, g), (chosen,) in _draw_panels(
-            seed, samples, steps, p.n, floats=3, picks=1
+    def g_panels() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for rows, (log_a, log_qp, g), (chosen,), below in _draw_panels(
+            seed, samples, steps, p.n, floats=3, picks=1, flags=max(map(len, ratios), default=1) - 1
         ):
             log_a.fill(-np.inf)
             log_qp.fill(0.0)
-            for (ratios, cum), uniform in zip(records, rows):
+            for (row, cum), uniform in zip(records, rows):
                 threshold = np.multiply(uniform, cum[-1], out=uniform)
-                _select(cum, threshold, cum[-1], chosen)
-                log_qp += ratios[chosen]
-            yield _f_stage(log_a, log_qp, g)
+                _select(cum, threshold, cum[-1, 0, 0], below, chosen)
+                log_qp += row[chosen]
+            yield _f_stage(log_a, log_qp, g), log_a
 
     mean_g = _block_mean(g_panels(), samples)
     return EstimateResult(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import sys
@@ -94,11 +95,11 @@ def _kernel_weights(p, q, k, log_a):
     ``log_a``, and their totals."""
     from tvdist.coupling import _step_records, _step_weights
 
-    records = _step_records(p, q, tv.build_stats(p, q), list(range(p.n)))
-    _, log_b, _, sums = records[k]
+    record = _step_records(p, q, tv.build_stats(p, q), list(range(p.n)))[k]
     log_a = np.asarray(log_a, dtype=float)
-    cum = np.empty((len(sums), log_a.size))
-    _step_weights(sums, log_a, log_b, cum, np.empty(log_a.size))
+    cum = np.empty((p.domain_sizes[k], 1, log_a.size))
+    _step_weights(record, log_a, cum, np.empty(log_a.size))
+    cum = cum[:, 0]
     return np.diff(cum, axis=0, prepend=0.0), cum[-1]
 
 
@@ -125,9 +126,9 @@ def test_conditional_weights_zero_probability_category():
 
 
 def _hex_record(record):
-    """A step record with every float as its hex string and the row as bytes."""
-    k, log_b, log_qp, sums = record
-    return k, log_b.hex(), log_qp.tobytes(), [(g.hex(), a.hex()) for g, a in sums]
+    """A step record with every float as its hex string and the arrays as bytes."""
+    k, log_b, log_qp, gap, neg_agree, first = record
+    return k, log_b.hex(), log_qp.tobytes(), gap.tobytes(), neg_agree.tobytes(), first
 
 
 def test_tables_of_some_coordinates_are_the_full_tables_there():
@@ -181,9 +182,10 @@ def test_log_ratio_rows_follow_the_rule_entry_by_entry():
 
 
 def test_step_sums_are_plain_running_sums():
-    """Each step record's ``(gap, agree)`` pairs are, bit for bit, the
-    running sums of ``max(p - q, 0.0)`` and ``min(p, q)`` over the plain
-    rows, in category order."""
+    """Each step record's ``gap`` and ``neg_agree`` columns are, bit for bit,
+    the running sums of ``max(p - q, 0.0)`` and, negated, of ``min(p, q)``
+    over the plain rows, in category order, and ``first`` indexes the first
+    nonzero ``gap`` entry."""
     from tvdist.coupling import _step_records
 
     # a zero-probability category and a d_i = 1 coordinate beside ordinary ones
@@ -192,22 +194,25 @@ def test_step_sums_are_plain_running_sums():
         tv.validate([[0.2, 0.0, 0.8], [0.0, 1.0], [0.4, 0.6]]),
     )
     batches = [random_instances(*batch) for batch in BATCHES]
-    zero_seen = disjoint_seen = False
+    zero_seen = disjoint_seen = skip_seen = False
     for p, q in itertools.chain([named], *batches):
         stats = tv.build_stats(p, q)
         steps = list(range(p.n))
         records = _step_records(p, q, stats, steps)
         assert [record[0] for record in records] == steps
-        for k, log_b, _, sums in records:
+        for k, log_b, _, gap_col, neg_agree, first in records:
             p_row, q_row = p.rows[k], q.rows[k]
-            gap = itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row))
+            gap = list(itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row)))
             agree = itertools.accumulate(min(a, b) for a, b in zip(p_row, q_row))
-            want = [(g.hex(), a.hex()) for g, a in zip(gap, agree)]
-            assert [(g.hex(), a.hex()) for g, a in sums] == want, k
+            assert gap_col.shape == neg_agree.shape == (len(p_row), 1, 1), k
+            assert [float(g).hex() for g in gap_col.ravel()] == [g.hex() for g in gap], k
+            assert [float(a).hex() for a in neg_agree.ravel()] == [(-a).hex() for a in agree], k
+            assert first == next((c for c, g in enumerate(gap) if g != 0.0), len(gap)), k
             assert log_b.hex() == stats.suffix_log[k + 1].hex()
             zero_seen |= 0.0 in p_row
             disjoint_seen |= stats.d[k] == 1.0
-    assert zero_seen and disjoint_seen
+            skip_seen |= 0 < first < len(gap)
+    assert zero_seen and disjoint_seen and skip_seen
 
 
 def test_step_normalizer_degenerate_on_identical():
@@ -387,16 +392,23 @@ def _reference_selection(weights, u):
     return np.minimum(count, last_positive), cum, threshold
 
 
+def _counts(q, m):
+    """Count rows of the narrowest unsigned type for ``q`` categories and of
+    uint16, as in a run whose widest coordinate has over 256 categories."""
+    return [np.empty(m, dtype) for dtype in {np.min_scalar_type(q - 1), np.dtype(np.uint16)}]
+
+
 def test_select_matches_reference_selection():
-    """The row-wise selection equals the reference, including draws whose
-    threshold reaches a tiny total and must be clamped."""
+    """The whole-block selection equals the reference, for every count type,
+    including draws whose threshold reaches a tiny total and must be
+    clamped."""
     from tvdist.coupling import _select
 
     rng = np.random.default_rng(2024)
     top = 1.0 - 2.0**-53  # the largest uniform the generator returns
     m = 512
     clamped = 0
-    for q in (1, 2, 3, 5, 16):
+    for q in (1, 2, 3, 5, 16, 300):
         for unit in (0.1, 1e-300, 2.0**-1022 / 4, 5e-324):
             weights = np.floor(rng.random((q, m)) * 4) * unit
             weights[-1, : m // 2] = 0.0  # last category empty for half the draws
@@ -404,17 +416,17 @@ def test_select_matches_reference_selection():
             u = rng.random(m)
             u[: m // 4] = top
             expected, cum, threshold = _reference_selection(weights, u)
-            out = np.empty(m, dtype=np.intp)
-            _select(cum, threshold, float(cum[-1].min()), out)
-            assert np.array_equal(out, expected), (q, unit)
+            for out in _counts(q, m):
+                _select(cum, threshold, float(cum[-1].min()), np.empty((q, m), bool), out)
+                assert np.array_equal(out, expected), (q, unit, out.dtype)
             clamped += int(np.sum((threshold >= cum[-1]) & (weights[-1] == 0.0)))
     assert clamped > 0  # the clamp was exercised
     # u * total rounds up to the total when the total is the smallest normal
     weights = np.zeros((3, 4))
     weights[0] = 2.0**-1022
     expected, cum, threshold = _reference_selection(weights, np.full(4, top))
-    out = np.empty(4, dtype=np.intp)
-    _select(cum, threshold, float(cum[-1].min()), out)
+    out = np.empty(4, dtype=np.uint8)
+    _select(cum, threshold, float(cum[-1].min()), np.empty((3, 4), bool), out)
     assert np.array_equal(out, expected) and not out.any()
 
 
@@ -422,15 +434,15 @@ def test_select_matches_reference_on_kernel_rows():
     """Selection over rows in the kernel's form ``gap[c] + y * -agree[c]``
     (running sums shared by all draws, one y in [-1, 0] per draw) equals the
     count of rows <= u * total clamped to the last row that grew, down to
-    subnormal totals where the products round; the caller's threshold is
-    left as it was."""
+    subnormal totals where the products round, for every count type; the
+    caller's threshold is left as it was."""
     from tvdist.coupling import _select
 
     rng = np.random.default_rng(2025)
     top = 1.0 - 2.0**-53  # the largest uniform the generator returns
     m = 512
     clamped = 0
-    for q in (1, 2, 3, 5, 16):
+    for q in (1, 2, 3, 5, 16, 300):
         for unit in (0.1, 1e-300, 2.0**-1022 / 4, 5e-324):
             for scale in (0.25, 1.0):
                 gap_w = np.floor(rng.random(q) * 4) * unit
@@ -450,12 +462,70 @@ def test_select_matches_reference_on_kernel_rows():
                 last_grew = q - 1 - np.argmax(grew[::-1], axis=0)
                 expected = np.minimum((cum <= threshold).sum(axis=0), last_grew)
                 given = threshold.copy()
-                out = np.empty(m, dtype=np.intp)
-                _select(cum, threshold, float(cum[-1].min()), out)
-                assert np.array_equal(out, expected), (q, unit, scale)
-                assert np.array_equal(threshold, given), (q, unit, scale)
+                for out in _counts(q, m):
+                    _select(cum, threshold, float(cum[-1].min()), np.empty((q, m), bool), out)
+                    assert np.array_equal(out, expected), (q, unit, scale, out.dtype)
+                    assert np.array_equal(threshold, given), (q, unit, scale)
                 clamped += int(np.sum((threshold >= cum[-1]) & ~grew[-1]))
     assert clamped > 0  # draws past the total whose last row did not grow
+
+
+def test_skipping_the_smallest_total_keeps_every_bit(monkeypatch):
+    """A step takes the smallest of its totals only when its last gap sum is
+    not above the smallest normal double. Forcing that path on every step
+    (which also clamps every threshold) gives the same checked selections
+    and estimate bits, on the seeded batches and on a pair whose last gap
+    sum is subnormal."""
+    from tvdist import coupling
+
+    subnormal = (tv.validate([[1e-310, 1.0]]), tv.validate([[0.0, 1.0]]))
+    pairs = [subnormal, *itertools.chain(*(random_instances(*batch) for batch in BATCHES))]
+
+    def run(p, q):
+        draws = tv.sample_pi_batch(p, q, tv.build_stats(p, q), 5, 300, check_invariants=True)
+        config = tv.EstimatorConfig(0.1, 0.1, 5, samples_override=4099)
+        return hashlib.sha256(draws.tobytes()).hexdigest(), tv.estimate_tv(p, q, config).estimate.hex()
+
+    skipped = [run(p, q) for p, q in pairs]
+    monkeypatch.setattr(coupling, "_SMALLEST_NORMAL", math.inf)
+    assert [run(p, q) for p, q in pairs] == skipped
+
+
+# --- block merge ------------------------------------------------------------
+
+
+def test_block_mean_is_the_fsum_of_block_fsums():
+    """The exact level sums give, by ``float.hex``, ``math.fsum`` of each
+    block's values, then ``fsum`` of those in block order, over the count:
+    on extreme values, wide exponent spreads, sparse and short blocks, and
+    panels of different shapes merged in one run."""
+    from tvdist.coupling import _block_mean
+
+    rng = np.random.default_rng(2408)
+    u = rng.random((4, 4096))
+    panels = {
+        "ones": np.ones((4, 4096)),
+        "largest below 1": np.full((4, 4096), 1.0 - 2.0**-53),
+        "smallest subnormal": np.full((4, 4096), 5e-324),
+        "1e-300 spread": 1e-300 * u,
+        "exp(-700 u)": np.exp(-700.0 * u),
+        "half zeros": np.where(rng.random((4, 4096)) < 0.5, 0.0, u**8),
+        "short block": rng.random((1, 977)),
+        "one block": rng.random((1, 4096)),
+    }
+
+    def reference(*arrays):
+        block_sums = [math.fsum(block) for values in arrays for block in values]
+        return math.fsum(block_sums) / sum(values.size for values in arrays)
+
+    def merged(*arrays):
+        pairs = [(values.copy(), np.empty_like(values)) for values in arrays]
+        return _block_mean(pairs, sum(values.size for values in arrays))
+
+    for name, values in panels.items():
+        assert merged(values).hex() == reference(values).hex(), name
+    run = list(panels.values())
+    assert merged(*run).hex() == reference(*run).hex()
 
 
 # --- uniform stream ---------------------------------------------------------
@@ -577,7 +647,7 @@ def test_panels_group_the_blocks_of_a_count(count):
     width = max(blocks * size for _, blocks, size in panels)
     plan = coupling._draw_panels(1, count, [], 1, floats=1, picks=1)
     with closing(plan):
-        for (_, blocks, size), (_, floats, picks) in zip(panels, plan, strict=True):
+        for (_, blocks, size), (_, floats, picks, _) in zip(panels, plan, strict=True):
             assert floats.shape == picks.shape == (1, blocks, size)
             assert picks.base.shape == (1, width)
             assert floats.base.shape == (width + max(coupling.UNIFORM_CHUNK, width),)
@@ -587,7 +657,7 @@ def test_draw_plan_of_a_count_past_memory_starts_drawing():
     from tvdist import coupling
 
     plan = coupling._draw_panels(3, 10**20, [0], 1, floats=1, picks=1)
-    rows, floats, picks = next(plan)
+    rows, floats, picks, _ = next(plan)
     assert floats.shape == picks.shape == (1, 4, 4096)
     row = next(rows)
     assert row.shape == (4, 4096)
@@ -676,7 +746,7 @@ def test_closing_kernel_early_stops_filling_thread():
     stats = tv.build_stats(p, q)
     records = _step_records(p, q, stats, list(range(100)))
     panels = _sample_panels(records, stats, 3, 9 * 4096, want_assignments=False, prefetch=True)
-    assert next(panels).shape == (4, 4096)
+    assert next(panels)[0].shape == (4, 4096)
     assert len(uniform_threads()) == 1
     panels.close()
     assert uniform_threads() == []
