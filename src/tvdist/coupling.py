@@ -55,7 +55,8 @@ which lies in [0, 1] and has mean tv(P, Q) / pr_diff, so it reports
 ``mean(f) * pr_diff``, with the draw count from
 :func:`~tvdist.distributions.sample_count`. The values get an error-free
 sum per block (exact level sums), and the block sums another in block
-order, so a result for a fixed seed is bit-identical whatever the worker count. The
+order, so a result is bit-identical for a fixed configuration whatever
+the worker count. The
 baseline, :func:`naive_estimate_tv`, averages ``max{0, 1 - Q(omega)/P(omega)}``
 over draws from P: ``f`` with a denominator of 1, from the same f stage. It
 is unbiased, but its relative error degrades as the distance shrinks, which
@@ -278,21 +279,21 @@ def _log_ratios(
 
 def _step_records(
     p: ProductDistribution, q: ProductDistribution, stats: GreedyCouplingStats, steps: list[int]
-) -> list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray, int]]:
-    """``(k, log B_k, log Q/P row, gap, neg_agree, first)`` per ``k`` in ``steps``:
-    ``(q_k, 1, 1)`` views of the running sums (``itertools.accumulate``) of ``max(P - Q, 0)``
-    and, negated, ``min(P, Q)``; ``first`` counts ``gap``'s zeros, which lead (sums never fall).
+) -> list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(k, log B_k, log Q/P row, gap, neg_agree)`` per ``k`` in ``steps``.
+    ``gap`` and ``neg_agree`` are ``(q_k, 1, 1)`` columns of the running
+    sums (``itertools.accumulate``) over ``0..c`` of ``max(P - Q, 0)`` and,
+    negated, of ``min(P, Q)``: what :func:`_step_weights` multiplies by.
     """
     def running(term):
         sums = (itertools.accumulate(map(term, p.rows[k], q.rows[k])) for k in steps)
         return np.fromiter(itertools.chain.from_iterable(sums), np.float64).reshape(-1, 1, 1)
 
     gap, neg_agree = running(lambda a, b: max(a - b, 0.0)), np.negative(running(min))
-    bounds = list(itertools.accumulate((p.domain_sizes[k] for k in steps), initial=0))
-    zeros = np.add.reduceat(gap.ravel() == 0.0, bounds[:-1], dtype=np.intp).tolist()
+    bounds = itertools.accumulate((p.domain_sizes[k] for k in steps), initial=0)
     return [
-        (k, stats.suffix_log[k + 1], row, gap[lo:hi], neg_agree[lo:hi], z)
-        for k, row, lo, hi, z in zip(steps, _log_ratios(p, q, steps), bounds, bounds[1:], zeros)
+        (k, stats.suffix_log[k + 1], row, gap[lo:hi], neg_agree[lo:hi])
+        for k, row, (lo, hi) in zip(steps, _log_ratios(p, q, steps), itertools.pairwise(bounds))
     ]
 
 
@@ -320,29 +321,25 @@ def _select(
     if not total_low > _SMALLEST_NORMAL:
         threshold = np.minimum(threshold, np.nextafter(cum[-1], 0.0))
     # every threshold is now below the total, so the last row would add 0
-    below = flags[: len(cum) - 1]
-    if len(below) == 1 and out.itemsize == 1:  # one comparison row, as bytes, is the count
-        np.less_equal(cum[0], threshold, out=out.view(np.bool_))
-    else:
-        np.less_equal(cum[:-1], threshold, out=below)
-        np.add.reduce(below.view(np.uint8), axis=0, out=out)
+    below = np.less_equal(cum[:-1], threshold, out=flags[: len(cum) - 1])
+    np.add.reduce(below.view(np.uint8), axis=0, out=out)
 
 
 def _step_weights(record: tuple, log_a: np.ndarray, cum: np.ndarray, y: np.ndarray) -> None:
     """Cumulative conditional weights of coordinate ``k``, per draw.
 
     Row ``c`` of ``cum`` receives ``w_k(0) + ... + w_k(c)``, that is
-    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the step ``record``: one
-    broadcast product, then one sum from row ``first`` on (a ``+0.0`` gap could
-    only flip a zero's sign). ``log_a`` holds log A_{k-1} per draw (``-inf``
-    for a zero prefix); ``y`` receives ``expm1(log A_{k-1} + log B_k)``.
+    ``gap[c] + (1 - A_{k-1} * B_k) * agree[c]`` from the step ``record``
+    (:func:`_step_records`): one broadcast product, then one broadcast sum.
+    ``log_a`` holds log A_{k-1} per draw (``-inf`` for a zero prefix); ``y``
+    receives ``expm1(log A_{k-1} + log B_k)``.
     """
-    _, log_b, _, gap, neg_agree, first = record
+    _, log_b, _, gap, neg_agree = record
     np.add(log_a, log_b, out=y)
     np.expm1(y, out=y)
     # y * -agree equals (1 - A * B) * agree bit for bit
     np.multiply(y, neg_agree, out=cum[: len(gap)])
-    np.add(cum[first : len(gap)], gap[first:], out=cum[first : len(gap)])
+    np.add(cum[: len(gap)], gap, out=cum[: len(gap)])
 
 
 def _f_stage(log_a: np.ndarray, t_qp: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -374,7 +371,7 @@ def _f_stage(log_a: np.ndarray, t_qp: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def _sample_panels(
-    records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray, int]],
+    records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]],
     stats: GreedyCouplingStats,
     seed: int,
     count: int,
@@ -411,8 +408,14 @@ def _sample_panels(
     # float rows: log A, y, on the f path the log Q/P sum, then the weights
     heads = 2 if want_assignments else 3
     for rows, floats, picks, flags in _draw_panels(
-        seed, count, steps, stats.n, floats=heads + max_q, flags=max_q - 1,
-        picks=stats.n if want_assignments else 1, prefetch=prefetch,
+        seed,
+        count,
+        steps,
+        stats.n,
+        floats=heads + max_q,
+        picks=stats.n if want_assignments else 1,
+        flags=max_q - 1,
+        prefetch=prefetch,
     ):
         log_a, y = floats[:2]
         cum = floats[heads:]
@@ -422,7 +425,7 @@ def _sample_panels(
             t_qp.fill(0.0)
 
         for record, uniform in zip(records, rows):
-            k, _, log_qp, gap, *_ = record
+            k, _, log_qp, gap, _ = record
             _step_weights(record, log_a, cum, y)
             total = cum[len(gap) - 1]
             # y * -agree >= 0, so no total is below gap[-1]: only a tiny one needs the min
@@ -544,21 +547,27 @@ class EstimateResult:
 def _block_mean(panels: Iterable[tuple[np.ndarray, np.ndarray]], count: int) -> float:
     """Mean of ``count`` values in [0, 1], given as ``(blocks, size)`` panels.
 
-    The one merge of both estimators: one error-free sum per block, then one over the
-    block sums in block order. Each panel comes with scratch of its shape; both are
-    overwritten. A block sums in exact levels (after Rump, Ogita and Oishi, SIAM J. Sci.
-    Comput. 31(1), 2008): from ``sigma = 2**13``, ``part = (rest + sigma) - sigma``,
-    ``rest -= part``, ``sigma *= 2**-40``. While ``|rest| <= 2**-13 * sigma``, both are
-    exact, ``part`` is a multiple of ``g = sigma * 2**-53`` up to ``(2**40 + 1) g`` and the
-    new ``rest`` at most ``g``; so a level's partial sums over at most ``2**12`` values
-    stay under ``2**53 g``, exact, and ``fsum`` of the level sums is ``fsum(block)``. At
-    ``sigma = 2**-1027``, ``rest + sigma`` is subnormal and exact: 27 levels at most.
+    The one merge of both estimators: one error-free sum per block, then
+    one over the block sums in block order, so the result never depends on
+    how blocks were grouped into panels. Each panel comes with scratch of
+    its shape; both are overwritten.
+
+    A block sums in exact levels (after Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008): from ``sigma = 2**13``, ``part = (rest + sigma) -
+    sigma``, ``rest -= part``, ``sigma *= 2**-40``. While ``|rest| <=
+    2**-13 * sigma``, both are exact, ``part`` is a multiple of ``g = sigma
+    * 2**-53`` up to ``(2**40 + 1) g`` and the new ``rest`` at most ``g``;
+    so a level's partial sums over at most ``2**12`` values stay under
+    ``2**53 g``, exact in any order, and ``fsum`` of the level sums is
+    ``fsum(block)``. At ``sigma = 2**-1027``, ``rest + sigma`` is subnormal
+    and exact: 27 levels at most.
     """
     sums = []
     for rest, part in panels:
         levels, sigma = [], 2.0**13
         while np.count_nonzero(rest):
-            levels.append(np.subtract(np.add(rest, sigma, out=part), sigma, out=part).sum(axis=1))
+            np.subtract(np.add(rest, sigma, out=part), sigma, out=part)
+            levels.append(part.sum(axis=1))
             rest -= part
             sigma *= 2.0**-40
         sums += map(math.fsum, zip(*levels))
@@ -686,10 +695,11 @@ def naive_estimate_tv(
     steps = [k for k, d_k in enumerate(d) if d_k != 0.0]
     ratios = _log_ratios(p, q, steps)
     records = [(row, np.cumsum(p.rows[k]).reshape(-1, 1, 1)) for k, row in zip(steps, ratios)]
+    flags = max(map(len, ratios), default=1) - 1
 
     def g_panels() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for rows, (log_a, log_qp, g), (chosen,), below in _draw_panels(
-            seed, samples, steps, p.n, floats=3, picks=1, flags=max(map(len, ratios), default=1) - 1
+            seed, samples, steps, p.n, floats=3, picks=1, flags=flags
         ):
             log_a.fill(-np.inf)
             log_qp.fill(0.0)

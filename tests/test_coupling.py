@@ -127,8 +127,8 @@ def test_conditional_weights_zero_probability_category():
 
 def _hex_record(record):
     """A step record with every float as its hex string and the arrays as bytes."""
-    k, log_b, log_qp, gap, neg_agree, first = record
-    return k, log_b.hex(), log_qp.tobytes(), gap.tobytes(), neg_agree.tobytes(), first
+    k, log_b, log_qp, gap, neg_agree = record
+    return k, log_b.hex(), log_qp.tobytes(), gap.tobytes(), neg_agree.tobytes()
 
 
 def test_tables_of_some_coordinates_are_the_full_tables_there():
@@ -184,8 +184,7 @@ def test_log_ratio_rows_follow_the_rule_entry_by_entry():
 def test_step_sums_are_plain_running_sums():
     """Each step record's ``gap`` and ``neg_agree`` columns are, bit for bit,
     the running sums of ``max(p - q, 0.0)`` and, negated, of ``min(p, q)``
-    over the plain rows, in category order, and ``first`` indexes the first
-    nonzero ``gap`` entry."""
+    over the plain rows, in category order."""
     from tvdist.coupling import _step_records
 
     # a zero-probability category and a d_i = 1 coordinate beside ordinary ones
@@ -194,25 +193,23 @@ def test_step_sums_are_plain_running_sums():
         tv.validate([[0.2, 0.0, 0.8], [0.0, 1.0], [0.4, 0.6]]),
     )
     batches = [random_instances(*batch) for batch in BATCHES]
-    zero_seen = disjoint_seen = skip_seen = False
+    zero_seen = disjoint_seen = False
     for p, q in itertools.chain([named], *batches):
         stats = tv.build_stats(p, q)
         steps = list(range(p.n))
         records = _step_records(p, q, stats, steps)
         assert [record[0] for record in records] == steps
-        for k, log_b, _, gap_col, neg_agree, first in records:
+        for k, log_b, _, gap_col, neg_agree in records:
             p_row, q_row = p.rows[k], q.rows[k]
-            gap = list(itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row)))
+            gap = itertools.accumulate(max(a - b, 0.0) for a, b in zip(p_row, q_row))
             agree = itertools.accumulate(min(a, b) for a, b in zip(p_row, q_row))
             assert gap_col.shape == neg_agree.shape == (len(p_row), 1, 1), k
             assert [float(g).hex() for g in gap_col.ravel()] == [g.hex() for g in gap], k
             assert [float(a).hex() for a in neg_agree.ravel()] == [(-a).hex() for a in agree], k
-            assert first == next((c for c, g in enumerate(gap) if g != 0.0), len(gap)), k
             assert log_b.hex() == stats.suffix_log[k + 1].hex()
             zero_seen |= 0.0 in p_row
             disjoint_seen |= stats.d[k] == 1.0
-            skip_seen |= 0 < first < len(gap)
-    assert zero_seen and disjoint_seen and skip_seen
+    assert zero_seen and disjoint_seen
 
 
 def test_step_normalizer_degenerate_on_identical():
